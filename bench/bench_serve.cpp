@@ -197,7 +197,7 @@ int main() {
         wall_ms([&] { exact_results = service.run_batch(exact_batch); });
     const double exact_qps = 1e3 * static_cast<double>(exact_n) / exact_ms;
 
-    // Exact path on the legacy fixed-dt grid: the same queries through a
+    // Exact path on the fixed-dt grid: the same queries through a
     // service with adaptive_tran off. The exact path never touches the
     // surfaces, so no warmup batch is needed.
     serve::ServeOptions fixed_opt = sopt;

@@ -1,13 +1,16 @@
-// Solver-core bench: quantifies the persistent-workspace refactor.
+// Solver-core bench: times the persistent sparse workspace.
 //
 //  * Newton assembly+solve cycle (the transient hot loop) at cell and
-//    flat-netlist scale, sparse workspace vs the retained dense fallback,
-//  * full transient wall-clock on the same circuits,
-//  * characterization wall-clock, serial dense vs parallel sparse,
+//    flat-netlist scale,
+//  * batched vs virtual device evaluation, SIMD vs scalar EKV kernel,
+//    blocked vs per-RHS solves,
+//  * full transient wall-clock on the same circuits, fixed grid vs the
+//    adaptive fast path,
+//  * characterization wall-clock, serial vs parallel,
 //  * heap-allocation count of the steady-state Newton cycle (must be 0).
 //
-// Correctness gates (waveform agreement, zero allocations) drive the exit
-// code; the speedups are reported for the perf log. See bench_perf_speedup
+// Correctness and speed gates (adaptive accuracy, zero allocations, the
+// batched/blocked/SIMD/adaptive wins, obs overhead) drive the exit code. See bench_perf_speedup
 // for the machine-readable BENCH_perf.json (it times the same stages
 // through the shared bench_util helpers).
 #include <algorithm>
@@ -30,25 +33,19 @@
 using namespace mcsm;
 using bench::Context;
 using spice::Circuit;
-using spice::SolverBackend;
 
 int main() {
     Context& ctx = Context::get();
     bench::Checker check;
 
-    std::printf("# solver core: persistent workspace + sparse LU vs dense "
-                "fallback (%zu threads)\n\n", hardware_threads());
+    std::printf("# solver core: persistent workspace + sparse LU "
+                "(%zu threads)\n\n", hardware_threads());
 
     // --- Newton cycle ----------------------------------------------------
-    std::printf("%-28s %10s %10s %9s\n", "stage", "dense", "sparse",
-                "speedup");
+    std::printf("%-28s %10s\n", "stage", "time");
     for (int stages : {12, 48}) {
-        const double d = bench::time_newton_cycle_us(ctx.lib(), stages,
-                                                     SolverBackend::kDense);
-        const double s = bench::time_newton_cycle_us(ctx.lib(), stages,
-                                                     SolverBackend::kSparse);
-        std::printf("newton_cycle_%-2d cells %6s %8.2fus %8.2fus %8.2fx\n",
-                    stages, "", d, s, d / s);
+        const double s = bench::time_newton_cycle_us(ctx.lib(), stages);
+        std::printf("newton_cycle_%-2d cells %6s %8.2fus\n", stages, "", s);
     }
 
     // --- batched vs scalar device evaluation -----------------------------
@@ -117,41 +114,22 @@ int main() {
                         "blocked multi-RHS solve beats per-RHS refactor+solve");
     }
 
-    // --- blocked DC bias sweep -------------------------------------------
-    {
-        const double d = bench::time_dc_sweep_ms(ctx.lib(),
-                                                 SolverBackend::kDense);
-        const double s = bench::time_dc_sweep_ms(ctx.lib(),
-                                                 SolverBackend::kSparse);
-        std::printf("\ndc_sweep_nor2 1296pt        %8.1fms %8.1fms %8.2fx\n",
-                    d, s, d / s);
-    }
-
-    // --- full transient --------------------------------------------------
-    wave::Waveform w_dense;
-    wave::Waveform w_sparse;
-    double sparse_fixed_48_ms = 0.0;
+    // --- blocked DC bias sweep and fixed-grid transients -----------------
+    std::printf("\n%-28s %10s\n", "stage", "time");
+    std::printf("dc_sweep_nor2 1296pt        %8.1fms\n",
+                bench::time_dc_sweep_ms(ctx.lib()));
+    wave::Waveform w_fixed;
+    double fixed_48_ms = 0.0;
     for (int stages : {12, 48}) {
-        const double d = bench::time_chain_transient_ms(
-            ctx.lib(), stages, SolverBackend::kDense, &w_dense);
-        const double s = bench::time_chain_transient_ms(
-            ctx.lib(), stages, SolverBackend::kSparse, &w_sparse);
-        if (stages == 48) sparse_fixed_48_ms = s;
-        std::printf("transient_%-2d cells    %8s %8.1fms %8.1fms %8.2fx\n",
-                    stages, "", d, s, d / s);
+        const double s =
+            bench::time_chain_transient_ms(ctx.lib(), stages, &w_fixed);
+        if (stages == 48) fixed_48_ms = s;
+        std::printf("transient_%-2d cells    %8s %8.1fms\n", stages, "", s);
     }
-    // Far-end waveform agreement between the backends (48 cells).
-    double max_dv = 0.0;
-    for (double t = 0.0; t <= 2.5e-9; t += 10e-12)
-        max_dv = std::max(max_dv,
-                          std::fabs(w_dense.at(t) - w_sparse.at(t)));
-    check.check(max_dv < 1e-6,
-                "dense/sparse transient waveforms agree (max dv " +
-                    std::to_string(max_dv) + " V)");
 
     // --- adaptive transient fast path ------------------------------------
-    // LTE-adaptive stepping + Jacobian reuse vs the fixed sparse grid on
-    // the 48-cell chain; correctness is the far-end 50% crossing time, not
+    // LTE-adaptive stepping + Jacobian reuse vs the fixed grid on the
+    // 48-cell chain; correctness is the far-end 50% crossing time, not
     // a pointwise voltage delta (edges amplify a few-fs time shift into
     // tens of mV).
     {
@@ -166,10 +144,10 @@ int main() {
                     "speedup");
         std::printf("transient_adaptive_48 cells %8.1fms %8.1fms %8.2fx  "
                     "(no-reuse %.1fms, reuse rate %.0f%%)\n",
-                    sparse_fixed_48_ms, fast, sparse_fixed_48_ms / fast,
+                    fixed_48_ms, fast, fixed_48_ms / fast,
                     no_reuse, 100.0 * reuse_rate);
-        check.check(fast < sparse_fixed_48_ms,
-                    "adaptive+reuse transient beats the fixed sparse grid");
+        check.check(fast < fixed_48_ms,
+                    "adaptive+reuse transient beats the fixed grid");
         // The tuned fast path prefers a fresh factorization while the LTE
         // controller is actively resizing steps (refactors are cheap at
         // this matrix size) and freezes the LU on settled stretches, so
@@ -178,7 +156,7 @@ int main() {
                     "Jacobian reuse engages on settled stretches (rate " +
                         std::to_string(reuse_rate) + ")");
         // The 48-cell far end rides the chain's last rising edge.
-        const auto t50_fixed = wave::crossing(w_sparse, vdd, 0.5, true);
+        const auto t50_fixed = wave::crossing(w_fixed, vdd, 0.5, true);
         const auto t50_adapt = wave::crossing(w_adapt, vdd, 0.5, true);
         check.check(t50_fixed.has_value() && t50_adapt.has_value(),
                     "both far-end waveforms cross 50%");
@@ -197,14 +175,14 @@ int main() {
         core::CharOptions serial = ctx.char_options(7);
         serial.transient_caps = false;
         serial.threads = 1;
-        serial.backend = SolverBackend::kDense;
         core::CharOptions parallel = serial;
         parallel.threads = 0;
-        parallel.backend = SolverBackend::kSparse;
 
         const double d = bench::time_characterize_nor2_ms(ctx.lib(), serial);
         const double s =
             bench::time_characterize_nor2_ms(ctx.lib(), parallel);
+        std::printf("\n%-28s %10s %10s %9s\n", "stage", "serial",
+                    "parallel", "speedup");
         std::printf("characterize NOR2 MCSM g7   %8.1fms %8.1fms %8.2fx\n",
                     d, s, d / s);
     }
@@ -212,7 +190,6 @@ int main() {
     // --- zero-allocation guarantee ---------------------------------------
     {
         Circuit c = bench::make_chain_circuit(ctx.lib(), 12);
-        c.set_solver_backend(SolverBackend::kSparse);
         const spice::DcResult op = spice::solve_dc(c);
         spice::SolverWorkspace& ws = c.workspace();
         spice::SimContext sctx;
@@ -252,8 +229,7 @@ int main() {
     if (obs::compiled_in()) {
         auto cycle_us = [&](bool enabled) {
             obs::set_enabled(enabled);
-            return bench::time_newton_cycle_us(ctx.lib(), 48,
-                                               SolverBackend::kSparse);
+            return bench::time_newton_cycle_us(ctx.lib(), 48);
         };
         (void)cycle_us(true);  // warm caches and counter registry
         double off_us = 0.0;

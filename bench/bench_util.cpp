@@ -145,11 +145,9 @@ spice::Circuit make_chain_circuit(const cells::CellLibrary& lib, int stages) {
     return c;
 }
 
-double time_newton_cycle_us(const cells::CellLibrary& lib, int stages,
-                            spice::SolverBackend backend) {
+double time_newton_cycle_us(const cells::CellLibrary& lib, int stages) {
     using Clock = std::chrono::steady_clock;
     spice::Circuit c = make_chain_circuit(lib, stages);
-    c.set_solver_backend(backend);
     const spice::DcResult op = spice::solve_dc(c);
     spice::SolverWorkspace& ws = c.workspace();
 
@@ -173,7 +171,6 @@ double time_device_eval_us(const cells::CellLibrary& lib, int stages,
                            bool batched) {
     using Clock = std::chrono::steady_clock;
     spice::Circuit c = make_chain_circuit(lib, stages);
-    c.set_solver_backend(spice::SolverBackend::kSparse);
     const spice::DcResult op = spice::solve_dc(c);
     spice::SolverWorkspace& ws = c.workspace();
 
@@ -199,7 +196,6 @@ double time_ekv_kernel_us(const cells::CellLibrary& lib, int stages,
                           bool lanes) {
     using Clock = std::chrono::steady_clock;
     spice::Circuit c = make_chain_circuit(lib, stages);
-    c.set_solver_backend(spice::SolverBackend::kSparse);
     const spice::DcResult op = spice::solve_dc(c);
     const spice::MosfetBatch& batch = c.workspace().mosfet_batch();
     std::vector<spice::MosCurrent> out(batch.size());
@@ -221,7 +217,6 @@ double time_multi_rhs_us(const cells::CellLibrary& lib, int stages,
                          std::size_t nrhs, bool blocked) {
     using Clock = std::chrono::steady_clock;
     spice::Circuit c = make_chain_circuit(lib, stages);
-    c.set_solver_backend(spice::SolverBackend::kSparse);
     const spice::DcResult op = spice::solve_dc(c);
     spice::SolverWorkspace& ws = c.workspace();
 
@@ -256,8 +251,7 @@ double time_multi_rhs_us(const cells::CellLibrary& lib, int stages,
            reps;
 }
 
-double time_dc_sweep_ms(const cells::CellLibrary& lib,
-                        spice::SolverBackend backend, BenchTiming* timing) {
+double time_dc_sweep_ms(const cells::CellLibrary& lib, BenchTiming* timing) {
     using spice::Circuit;
     using spice::SourceSpec;
     const double vdd_v = lib.tech().vdd;
@@ -287,7 +281,6 @@ double time_dc_sweep_ms(const cells::CellLibrary& lib,
                       SourceSpec::dc(0.0));
     }
     nor.instantiate(c, "DUT", conn);
-    c.set_solver_backend(backend);
     c.prepare();
     swept.push_back(&c.vsource("VA"));
     swept.push_back(&c.vsource("VB"));
@@ -328,7 +321,6 @@ double time_dc_sweep_ms(const cells::CellLibrary& lib,
 }
 
 double time_chain_transient_ms(const cells::CellLibrary& lib, int stages,
-                               spice::SolverBackend backend,
                                wave::Waveform* far_out, BenchTiming* timing) {
     spice::TranOptions topt;
     topt.tstop = 2.5e-9;
@@ -341,7 +333,6 @@ double time_chain_transient_ms(const cells::CellLibrary& lib, int stages,
     t.min_ms = 1e300;
     for (int rep = 0; rep < t.reps; ++rep) {
         spice::Circuit c = make_chain_circuit(lib, stages);
-        c.set_solver_backend(backend);
         const auto t0 = Clock::now();
         const spice::TranResult res = spice::solve_tran(c, topt);
         const double ms =
@@ -372,8 +363,7 @@ double time_chain_transient_fast_ms(const cells::CellLibrary& lib, int stages,
     t.min_ms = 1e300;
     for (int rep = 0; rep < t.reps; ++rep) {
         spice::Circuit c = make_chain_circuit(lib, stages);
-        c.set_solver_backend(spice::SolverBackend::kSparse);
-        const auto t0 = Clock::now();
+            const auto t0 = Clock::now();
         const spice::TranResult res = spice::solve_tran(c, topt);
         const double ms =
             std::chrono::duration<double, std::milli>(Clock::now() - t0)

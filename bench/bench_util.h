@@ -97,8 +97,7 @@ BenchTiming time_reps_ms(int reps, const std::function<void()>& body);
 
 // Per-cycle cost of the Newton inner loop (assemble + factor + solve) on
 // the flattened chain, microseconds.
-double time_newton_cycle_us(const cells::CellLibrary& lib, int stages,
-                            spice::SolverBackend backend);
+double time_newton_cycle_us(const cells::CellLibrary& lib, int stages);
 
 // Per-assembly cost of the device-evaluation pass alone (no solve) on the
 // sparse workspace: `batched` runs the SoA evaluate-and-stamp entry point
@@ -124,23 +123,20 @@ double time_multi_rhs_us(const cells::CellLibrary& lib, int stages,
                          std::size_t nrhs, bool blocked);
 
 // Wall clock of a characterization-style DC bias sweep (NOR2 with every
-// modeled node forced, 6^4 grid points), milliseconds. The dense backend
-// takes the retained point-by-point path; the sparse backend runs the
-// blocked solve_dc_sweep.
+// modeled node forced, 6^4 grid points) through the blocked
+// solve_dc_sweep, milliseconds.
 double time_dc_sweep_ms(const cells::CellLibrary& lib,
-                        spice::SolverBackend backend,
                         BenchTiming* timing = nullptr);
 
 // Best-of-3 wall clock of the full chain transient, milliseconds. When
 // far_out is non-null it receives the far-end output waveform; `timing`,
 // when non-null, receives the full min/mean aggregate.
 double time_chain_transient_ms(const cells::CellLibrary& lib, int stages,
-                               spice::SolverBackend backend,
                                wave::Waveform* far_out = nullptr,
                                BenchTiming* timing = nullptr);
 
-// Best-of-3 wall clock of the chain transient on the sparse backend with
-// the fast path (LTE-adaptive dt, optional Jacobian reuse), milliseconds.
+// Best-of-3 wall clock of the chain transient on the fast path
+// (LTE-adaptive dt, optional Jacobian reuse), milliseconds.
 // Same window as time_chain_transient_ms (2.5 ns / 2 ps record grid).
 // When reuse_rate is non-null it receives jacobian_reuse_steps /
 // steps_accepted of the last rep; far_out works as above.
@@ -151,7 +147,7 @@ double time_chain_transient_fast_ms(const cells::CellLibrary& lib, int stages,
                                     BenchTiming* timing = nullptr);
 
 // Best-of-2 wall clock of a NOR2 MCSM characterization with `opt`,
-// milliseconds (the caller sets grid/threads/backend on opt).
+// milliseconds (the caller sets grid/threads on opt).
 double time_characterize_nor2_ms(const cells::CellLibrary& lib,
                                  const core::CharOptions& opt,
                                  BenchTiming* timing = nullptr);

@@ -8,20 +8,11 @@
 
 namespace mcsm {
 
-// Solves A x = b by LU with partial pivoting. A and b are destroyed.
+// Solves A x = b by LU with partial pivoting (on copies of A and b).
 // Throws NumericalError when a pivot falls below pivot_floor (singular
 // system up to roundoff).
-std::vector<double> solve_lu_in_place(DenseMatrix& a, std::vector<double>& b,
-                                      double pivot_floor = 1e-30);
-
-// Convenience overload preserving the inputs.
 std::vector<double> solve_lu(DenseMatrix a, std::vector<double> b,
                              double pivot_floor = 1e-30);
-
-// Allocation-free variant for hot loops: factors a/b in place and writes
-// the solution into x (only resized on first use at a given dimension).
-void solve_lu_into(DenseMatrix& a, std::vector<double>& b,
-                   std::vector<double>& x, double pivot_floor = 1e-30);
 
 }  // namespace mcsm
 

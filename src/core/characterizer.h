@@ -25,7 +25,6 @@
 
 #include "cells/library.h"
 #include "core/model.h"
-#include "spice/solver_workspace.h"
 
 namespace mcsm::core {
 
@@ -35,11 +34,10 @@ struct CharOptions {
     bool transient_caps = true;    // paper-faithful ramp extraction
     double cap_ramp = 150e-12;     // primary ramp duration (0-100%) [s]
     double cap_ramp2 = 300e-12;    // second slope averaged in [s]
-    double dt = 1.5e-12;           // transient step for cap extraction [s]
-    // LTE-adaptive stepping + Jacobian reuse for the cap-extraction ramps
-    // (spice::fast_tran_options with a tightened dt ceiling); false forces
-    // the legacy fixed-dt grid.
-    bool adaptive_tran = true;
+    // Base transient step for cap extraction [s]. The ramps run
+    // spice::fast_tran_options (LTE-adaptive stepping + Jacobian reuse)
+    // with the dt ceiling tightened to 8 * dt.
+    double dt = 1.5e-12;
     std::size_t cin_points = 13;   // knots of the 1-D input-cap tables
     // Extract pin -> internal-node Miller caps (extension; the paper
     // neglects them). When false the tables are zero and CN absorbs all
@@ -55,9 +53,6 @@ struct CharOptions {
     // remains reproducible to solver tolerance, its worker fixtures reuse
     // frozen pivot orders across combos).
     std::size_t threads = 0;
-    // Solver backend for the testbench fixtures (the dense fallback is kept
-    // for cross-checking and perf baselines).
-    spice::SolverBackend backend = spice::default_solver_backend();
 };
 
 class Characterizer {

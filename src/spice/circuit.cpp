@@ -62,21 +62,14 @@ void Circuit::prepare() {
     prepared_ = true;
     // The workspace captures the topology (sparsity pattern + LU analysis);
     // device parameter/source changes do not invalidate it, adding devices
-    // or switching backends does.
-    workspace_ = std::make_unique<SolverWorkspace>(*this, backend_);
+    // does.
+    workspace_ = std::make_unique<SolverWorkspace>(*this);
 }
 
 SolverWorkspace& Circuit::workspace() {
     require(prepared_ && workspace_ != nullptr,
             "Circuit: prepare() must run before workspace()");
     return *workspace_;
-}
-
-void Circuit::set_solver_backend(SolverBackend backend) {
-    if (backend == backend_ && prepared_) return;
-    backend_ = backend;
-    prepared_ = false;
-    workspace_.reset();
 }
 
 int Circuit::branch_of(const std::string& vsource_name) const {

@@ -89,10 +89,6 @@ public:
 
     // The persistent per-topology workspace (valid after prepare()).
     SolverWorkspace& workspace();
-    // Selects the backend used when the workspace is (re)built; switching
-    // invalidates the current workspace. Default: default_solver_backend().
-    void set_solver_backend(SolverBackend backend);
-    SolverBackend solver_backend() const { return backend_; }
 
 private:
     std::vector<std::string> node_names_;
@@ -102,7 +98,6 @@ private:
     bool prepared_ = false;
     int branch_total_ = 0;
     int state_total_ = 0;
-    SolverBackend backend_ = default_solver_backend();
     std::unique_ptr<SolverWorkspace> workspace_;
 };
 

@@ -172,18 +172,7 @@ void solve_dc_sweep(
             swept[k]->set_spec(SourceSpec::dc(values[p * n_swept + k]));
     };
 
-    if (ws.backend() == SolverBackend::kDense || n_points == 0) {
-        // Dense fallback: the retained pre-refactor path, point by point
-        // with a warm-start chain.
-        DcResult dc;
-        if (initial != nullptr) dc.x = *initial;
-        for (std::size_t p = 0; p < n_points; ++p) {
-            program_point(p);
-            dc = solve_dc(circuit, options.dc, dc.x.empty() ? nullptr : &dc.x);
-            on_point(p, dc.x);
-        }
-        return;
-    }
+    if (n_points == 0) return;
 
     // Deterministic regardless of what this workspace solved before: the
     // first factorization of the sweep re-runs the pivot search.

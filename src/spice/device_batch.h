@@ -16,9 +16,6 @@
 // previous accepted solution) are refreshed once per transient step into
 // parallel geq/isrc arrays — they are constant across the Newton iterations
 // of a step — and scattered the same way.
-//
-// The dense backend keeps the original per-device virtual path, which pins
-// its bit-compatibility with the seed solver.
 #ifndef MCSM_SPICE_DEVICE_BATCH_H
 #define MCSM_SPICE_DEVICE_BATCH_H
 

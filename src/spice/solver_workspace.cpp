@@ -1,9 +1,5 @@
 #include "spice/solver_workspace.h"
 
-#include <cstdlib>
-
-#include "common/error.h"
-#include "common/linear_solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spice/circuit.h"
@@ -54,74 +50,32 @@ SparseMatrix collect_mna_pattern(const Circuit& circuit, bool include_gmin) {
     return m;
 }
 
-namespace {
-
-Stamper make_stamper(const Circuit& circuit, SolverBackend backend,
-                     SparseMatrix* sparse) {
-    const int n_nodes = circuit.node_count();
-    const int n_branches = circuit.branch_total();
-    if (backend == SolverBackend::kSparse)
-        return Stamper(n_nodes, n_branches, sparse);
-    return Stamper(n_nodes, n_branches);
-}
-
-}  // namespace
-
-SolverBackend default_solver_backend() {
-    static const SolverBackend backend = [] {
-        if (const char* env = std::getenv("MCSM_DENSE_SOLVER")) {
-            if (env[0] != '\0' && env[0] != '0') return SolverBackend::kDense;
-        }
-        return SolverBackend::kSparse;
-    }();
-    return backend;
-}
-
-SolverWorkspace::SolverWorkspace(const Circuit& circuit, SolverBackend backend)
-    : backend_(backend),
-      matrix_(backend == SolverBackend::kSparse
-                  ? collect_mna_pattern(circuit, /*include_gmin=*/true)
-                  : SparseMatrix{}),
-      stamper_(make_stamper(circuit, backend, &matrix_)) {
-    const std::size_t n = stamper_.system_size();
-    sol_.assign(n, 0.0);
-    if (backend_ == SolverBackend::kDense) {
-        dense_scratch_.resize(n, n);
-        rhs_scratch_.assign(n, 0.0);
-    }
+SolverWorkspace::SolverWorkspace(const Circuit& circuit)
+    : matrix_(collect_mna_pattern(circuit, /*include_gmin=*/true)),
+      stamper_(circuit.node_count(), circuit.branch_total(), &matrix_) {
+    sol_.assign(stamper_.system_size(), 0.0);
 
     // Group devices for assemble(): MOSFETs into the SoA batch and linear
-    // two-terminal devices into the LinearBatch (sparse backend only), the
-    // rest onto the virtual path in original order.
+    // two-terminal devices into the LinearBatch, the rest onto the virtual
+    // path in original order.
     std::vector<const Mosfet*> mosfets;
     std::vector<const Resistor*> resistors;
     std::vector<const Capacitor*> capacitors;
     std::vector<const VSource*> vsources;
     std::vector<const ISource*> isources;
     for (const auto& dev : circuit.devices()) {
-        if (backend_ == SolverBackend::kSparse) {
-            if (const auto* m = dynamic_cast<const Mosfet*>(dev.get())) {
-                mosfets.push_back(m);
-                continue;
-            }
-            if (const auto* r = dynamic_cast<const Resistor*>(dev.get())) {
-                resistors.push_back(r);
-                continue;
-            }
-            if (const auto* c = dynamic_cast<const Capacitor*>(dev.get())) {
-                capacitors.push_back(c);
-                continue;
-            }
-            if (const auto* v = dynamic_cast<const VSource*>(dev.get())) {
-                vsources.push_back(v);
-                continue;
-            }
-            if (const auto* i = dynamic_cast<const ISource*>(dev.get())) {
-                isources.push_back(i);
-                continue;
-            }
-        }
-        scalar_devices_.push_back(dev.get());
+        if (const auto* m = dynamic_cast<const Mosfet*>(dev.get()))
+            mosfets.push_back(m);
+        else if (const auto* r = dynamic_cast<const Resistor*>(dev.get()))
+            resistors.push_back(r);
+        else if (const auto* c = dynamic_cast<const Capacitor*>(dev.get()))
+            capacitors.push_back(c);
+        else if (const auto* v = dynamic_cast<const VSource*>(dev.get()))
+            vsources.push_back(v);
+        else if (const auto* i = dynamic_cast<const ISource*>(dev.get()))
+            isources.push_back(i);
+        else
+            scalar_devices_.push_back(dev.get());
     }
     if (!mosfets.empty()) batch_.build(mosfets, matrix_);
     // Dispatch is per-process, but surfacing it per workspace makes the
@@ -136,7 +90,6 @@ SolverWorkspace::SolverWorkspace(const Circuit& circuit, SolverBackend backend)
 }
 
 int SolverWorkspace::simd_width() const {
-    if (backend_ != SolverBackend::kSparse) return 1;
 #ifdef MCSM_NO_FAST_EKV
     return 1;
 #else
@@ -146,11 +99,6 @@ int SolverWorkspace::simd_width() const {
 
 const char* SolverWorkspace::simd_kernel_name() const {
     return simd_width() > 1 ? ekv_lane_kernel_name() : "scalar";
-}
-
-std::size_t SolverWorkspace::pattern_nnz() const {
-    if (backend_ == SolverBackend::kSparse) return matrix_.nnz();
-    return system_size() * system_size();
 }
 
 Stamper& SolverWorkspace::begin_assembly() {
@@ -175,8 +123,6 @@ Stamper& SolverWorkspace::assemble(const SimContext& ctx) {
 }
 
 void SolverWorkspace::factor() {
-    require(backend_ == SolverBackend::kSparse,
-            "SolverWorkspace: factor() needs the sparse backend");
     const obs::DetailSpan span("spice.factor");
     static obs::Counter& factors = obs::counter("solver.ws.factors");
     factors.add();
@@ -185,8 +131,6 @@ void SolverWorkspace::factor() {
 
 void SolverWorkspace::solve_block(const double* b, double* x,
                                   std::size_t nrhs) {
-    require(backend_ == SolverBackend::kSparse,
-            "SolverWorkspace: solve_block() needs the sparse backend");
     const obs::DetailSpan span("spice.solve");
     static obs::Counter& solves = obs::counter("solver.ws.solves");
     solves.add();
@@ -196,8 +140,6 @@ void SolverWorkspace::solve_block(const double* b, double* x,
 
 void SolverWorkspace::residual(std::span<const double> x_unknown,
                                std::span<double> r) const {
-    require(backend_ == SolverBackend::kSparse,
-            "SolverWorkspace: residual() needs the sparse backend");
     matrix_.multiply(x_unknown, r);
     const std::vector<double>& b = stamper_.rhs();
     for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
@@ -208,14 +150,8 @@ const std::vector<double>& SolverWorkspace::solve() {
     static obs::Counter& solves = obs::counter("solver.ws.solves");
     solves.add();
     ++solves_;
-    if (backend_ == SolverBackend::kSparse) {
-        lu_.factor(matrix_);
-        lu_.solve(stamper_.rhs(), sol_);
-        return sol_;
-    }
-    dense_scratch_ = stamper_.matrix();
-    rhs_scratch_ = stamper_.rhs();
-    solve_lu_into(dense_scratch_, rhs_scratch_, sol_);
+    lu_.factor(matrix_);
+    lu_.solve(stamper_.rhs(), sol_);
     return sol_;
 }
 

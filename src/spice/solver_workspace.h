@@ -8,10 +8,6 @@
 // heap allocations: devices write into fixed CSR slots through the same
 // Stamper primitives, the LU reuses its symbolic factorization, and the
 // solution lands in a preallocated buffer.
-//
-// A dense backend is retained behind a runtime switch (SolverBackend /
-// MCSM_DENSE_SOLVER=1) for cross-checking; it reproduces the pre-workspace
-// dense path bit for bit.
 #ifndef MCSM_SPICE_SOLVER_WORKSPACE_H
 #define MCSM_SPICE_SOLVER_WORKSPACE_H
 
@@ -20,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/dense_matrix.h"
 #include "common/sparse_lu.h"
 #include "common/sparse_matrix.h"
 #include "spice/device_batch.h"
@@ -30,15 +25,6 @@ namespace mcsm::spice {
 
 class Circuit;
 class Device;
-
-enum class SolverBackend {
-    kSparse,  // CSR storage + pattern-reusing sparse LU (default)
-    kDense,   // dense matrix + partial-pivot LU (cross-check fallback)
-};
-
-// Process-wide default: kSparse, or kDense when the MCSM_DENSE_SOLVER
-// environment variable is set to a non-zero value.
-SolverBackend default_solver_backend();
 
 // Discovers the MNA sparsity pattern of an index-bound circuit (one
 // pattern-mode stamp pass in DC and one in transient, so companion-model
@@ -61,22 +47,21 @@ public:
     // The circuit must be index-bound (Circuit::prepare() constructs the
     // workspace after binding). The workspace takes no reference to the
     // circuit beyond the constructor.
-    SolverWorkspace(const Circuit& circuit, SolverBackend backend);
+    explicit SolverWorkspace(const Circuit& circuit);
 
     SolverWorkspace(const SolverWorkspace&) = delete;
     SolverWorkspace& operator=(const SolverWorkspace&) = delete;
 
-    SolverBackend backend() const { return backend_; }
     std::size_t system_size() const { return stamper_.system_size(); }
-    // Stored MNA nonzeros (sparse backend; dense reports the full square).
-    std::size_t pattern_nnz() const;
+    // Stored MNA nonzeros.
+    std::size_t pattern_nnz() const { return matrix_.nnz(); }
 
     // Clears the assembly storage and hands out the device-facing writer.
     Stamper& begin_assembly();
 
     // Assembles the full linearized system for `ctx`: clears the storage,
-    // runs the batched MOSFET evaluate-and-stamp pass (sparse backend), then
-    // the remaining devices' virtual stamp(). Returns the stamper so the
+    // runs the batched MOSFET and linear-device stamp passes, then the
+    // remaining devices' virtual stamp(). Returns the stamper so the
     // caller can add gmin / extra stamps before solving. This is the Newton
     // inner-loop entry point; it performs no heap allocation.
     Stamper& assemble(const SimContext& ctx);
@@ -85,7 +70,7 @@ public:
     // the next solve(). Throws NumericalError on singular systems.
     const std::vector<double>& solve();
 
-    // --- blocked multi-RHS interface (sparse backend) -------------------
+    // --- blocked multi-RHS interface ------------------------------------
     // Factors the assembled matrix without solving; throws NumericalError
     // on singular systems.
     void factor();
@@ -99,43 +84,37 @@ public:
     // reused workspace solved before).
     void invalidate_factorization() { lu_.invalidate(); }
 
-    // The batched MOSFET evaluator (empty on the dense backend).
+    // The batched MOSFET evaluator.
     const MosfetBatch& mosfet_batch() const { return batch_; }
-    // The batched linear stampers (empty on the dense backend).
+    // The batched linear stampers.
     const LinearBatch& linear_batch() const { return linear_batch_; }
-    // Read-only view of the assembled CSR storage (sparse backend); tests
-    // cross-check batched assembly against the virtual stamp path with it.
+    // Read-only view of the assembled CSR storage; tests cross-check
+    // batched assembly against the virtual stamp path with it.
     const SparseMatrix& csr_matrix() const { return matrix_; }
 
     // --- instrumentation ------------------------------------------------
     // Lane width of the dispatched SIMD EKV kernel this workspace's
-    // assemble() uses for the MOSFET batch (1 = scalar fast path; the
-    // dense backend always stays on the virtual scalar path).
+    // assemble() uses for the MOSFET batch (1 = scalar fast path).
     int simd_width() const;
     // "scalar", "avx2x4" or "avx512x8" — the matching kernel name.
     const char* simd_kernel_name() const;
     std::size_t solve_count() const { return solves_; }
-    // Sparse backend: how often the pivot-order analysis had to rerun
-    // (1 per topology in the steady state; more means unstable refactors).
+    // How often the pivot-order analysis had to rerun (1 per topology in
+    // the steady state; more means unstable refactors).
     std::size_t full_factor_count() const { return lu_.full_factor_count(); }
-    // Sparse backend: stored L+U nonzeros including fill (0 before the
-    // first factorization / on the dense backend).
+    // Stored L+U nonzeros including fill (0 before the first
+    // factorization).
     std::size_t lu_nnz() const { return lu_.lu_nnz(); }
 
 private:
-    SolverBackend backend_;
-    SparseMatrix matrix_;   // sparse backend storage
-    Stamper stamper_;       // writes into matrix_ or its own dense storage
+    SparseMatrix matrix_;   // CSR storage
+    Stamper stamper_;       // writes into matrix_
     SparseLu lu_;
-    DenseMatrix dense_scratch_;
-    std::vector<double> rhs_scratch_;
     std::vector<double> sol_;
     std::size_t solves_ = 0;
     // Device grouping for assemble(): MOSFETs go through the SoA batch and
-    // resistors/capacitors/independent sources through the linear batch on
-    // the sparse backend; everything else (and every device on the dense
-    // backend, preserving its bit-compatible ordering) stays on the virtual
-    // path.
+    // resistors/capacitors/independent sources through the linear batch;
+    // everything else stays on the virtual path.
     MosfetBatch batch_;
     LinearBatch linear_batch_;
     std::vector<const Device*> scalar_devices_;

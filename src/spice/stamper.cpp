@@ -1,21 +1,11 @@
 #include "spice/stamper.h"
 
 #include "common/error.h"
-#include "common/linear_solver.h"
 
 namespace mcsm::spice {
 
-Stamper::Stamper(int n_nodes, int n_branches)
-    : backend_(Backend::kDense), n_nodes_(n_nodes), n_branches_(n_branches) {
-    require(n_nodes >= 1, "Stamper: need at least the ground node");
-    const std::size_t n = system_size();
-    a_.resize(n, n);
-    b_.assign(n, 0.0);
-}
-
 Stamper::Stamper(int n_nodes, int n_branches, SparseMatrix* sparse)
-    : backend_(Backend::kSparse),
-      n_nodes_(n_nodes),
+    : n_nodes_(n_nodes),
       n_branches_(n_branches),
       sparse_(sparse) {
     require(n_nodes >= 1, "Stamper: need at least the ground node");
@@ -26,8 +16,7 @@ Stamper::Stamper(int n_nodes, int n_branches, SparseMatrix* sparse)
 
 Stamper::Stamper(int n_nodes, int n_branches,
                  std::vector<std::pair<int, int>>* pattern_out)
-    : backend_(Backend::kPattern),
-      n_nodes_(n_nodes),
+    : n_nodes_(n_nodes),
       n_branches_(n_branches),
       pattern_out_(pattern_out) {
     require(n_nodes >= 1, "Stamper: need at least the ground node");
@@ -40,16 +29,7 @@ std::size_t Stamper::system_size() const {
 }
 
 void Stamper::clear() {
-    switch (backend_) {
-        case Backend::kDense:
-            a_.set_zero();
-            break;
-        case Backend::kSparse:
-            sparse_->set_zero();
-            break;
-        case Backend::kPattern:
-            break;
-    }
+    if (sparse_ != nullptr) sparse_->set_zero();
     std::fill(b_.begin(), b_.end(), 0.0);
 }
 
@@ -74,18 +54,6 @@ void Stamper::add_voltage_branch(int branch, int p, int m, double v) {
         sink(bi, mu, -1.0);
     }
     b_[static_cast<std::size_t>(bi)] += v;
-}
-
-DenseMatrix& Stamper::matrix() {
-    require(backend_ == Backend::kDense,
-            "Stamper: matrix() is dense-backend only");
-    return a_;
-}
-
-std::vector<double> Stamper::solve() {
-    require(backend_ == Backend::kDense,
-            "Stamper: solve() is dense-backend only");
-    return solve_lu(a_, b_);
 }
 
 }  // namespace mcsm::spice

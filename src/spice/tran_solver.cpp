@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cmath>
 
 #include "common/error.h"
@@ -70,13 +69,6 @@ double TranResult::final_node_voltage(int node_id) const {
 
 namespace {
 
-// Reusable step buffers: advance() runs thousands of times per transient,
-// and the recursion on subdivision is sequential, so one set suffices.
-struct TranScratch {
-    std::vector<double> x_new;
-    std::vector<double> state_next;
-};
-
 // Process-wide so step ids never repeat across solve_tran calls on a reused
 // circuit (devices key their linearization caches on it).
 std::atomic<long long> g_step_counter{0};
@@ -107,14 +99,14 @@ bool newton_tran(Circuit& circuit, const TranOptions& options,
                  Integrator integrator, double time, double dt,
                  const std::vector<double>& x_prev,
                  const std::vector<double>& state, std::vector<double>& x,
-                 long long step_id, TranStats* stats = nullptr) {
+                 long long step_id, TranStats& stats) {
     const int n_nodes = circuit.node_count();
     SolverWorkspace& ws = circuit.workspace();
     const SimContext ctx =
         make_tran_context(integrator, time, dt, x_prev, state, x, step_id);
 
     for (int it = 0; it < options.max_newton; ++it) {
-        if (stats != nullptr) ++stats->newton_iters;
+        ++stats.newton_iters;
         Stamper& st = ws.assemble(ctx);
         st.add_gmin_everywhere(options.gmin);
 
@@ -175,39 +167,8 @@ bool step_has_breakpoint(const std::vector<double>& breakpoints, double t0,
     return it != breakpoints.end() && *it < t0 + dt - eps;
 }
 
-// Advances from (x, state) at t0 to t0+dt, subdividing on failure.
-void advance(Circuit& circuit, const TranOptions& options,
-             const std::vector<double>& breakpoints, double t0, double dt,
-             std::vector<double>& x, std::vector<double>& state,
-             TranScratch& scratch, int depth, TranStats& stats) {
-    const Integrator integrator =
-        step_has_breakpoint(breakpoints, t0, dt) ? Integrator::kBackwardEuler
-                                                 : options.integrator;
-    scratch.x_new = x;  // warm start
-    const long long step_id =
-        g_step_counter.fetch_add(1, std::memory_order_relaxed);
-    if (newton_tran(circuit, options, integrator, t0 + dt, dt, x, state,
-                    scratch.x_new, step_id, &stats)) {
-        commit_step(circuit, integrator, t0 + dt, dt, x, state, scratch.x_new,
-                    scratch.state_next, step_id);
-        x.swap(scratch.x_new);
-        state.swap(scratch.state_next);
-        ++stats.steps_accepted;
-        return;
-    }
-    ++stats.steps_rejected;
-    if (depth >= options.max_subdivisions) {
-        throw NumericalError("solve_tran: step at t=" + std::to_string(t0) +
-                             " failed after max subdivisions");
-    }
-    advance(circuit, options, breakpoints, t0, dt * 0.5, x, state, scratch,
-            depth + 1, stats);
-    advance(circuit, options, breakpoints, t0 + dt * 0.5, dt * 0.5, x, state,
-            scratch, depth + 1, stats);
-}
-
-// TranStats is the single source for stepping-loop accounting: the engines
-// fill the struct (surfaced per-result through TranResult::stats(), which
+// TranStats is the single source for stepping-loop accounting: the engine
+// fills the struct (surfaced per-result through TranResult::stats(), which
 // the bench gates read), and each solve publishes the same struct into the
 // process-wide obs counters here -- the two views cannot drift apart.
 void publish_tran_stats(const TranStats& stats) {
@@ -231,8 +192,6 @@ void publish_tran_stats(const TranStats& stats) {
     reuse.add(stats.jacobian_reuse_steps);
 }
 
-// --- fast path: Jacobian reuse + LTE-adaptive stepping -------------------
-
 // A few ulps of absolute slack around a time value; used to dedupe
 // breakpoints against accepted step times and to snap step ends.
 double time_ulp(double t) {
@@ -250,9 +209,11 @@ void to_unknowns(const std::vector<double>& x, int n_nodes, int n_branches,
             x[static_cast<std::size_t>(n_nodes + br)];
 }
 
-// The fast transient engine: delta-form Newton against a frozen sparse LU
-// (refreshed on integrator/dt changes, slow convergence, or failures) and,
-// in kAdaptiveLte mode, predictor-corrector LTE step control between source
+// The transient engine. Each step runs either the plain Newton loop
+// (newton_tran) or, with reuse_jacobian, delta-form Newton against a frozen
+// sparse LU (refreshed on integrator/dt changes, slow convergence, or
+// failures). kFixedGrid steps the dt grid and bisects on Newton failure;
+// kAdaptiveLte runs predictor-corrector LTE step control between source
 // breakpoints. Every buffer is allocated in the constructor; the stepping
 // loop itself is allocation-free.
 class TranEngine {
@@ -265,8 +226,7 @@ public:
           bps_(breakpoints),
           n_nodes_(circuit.node_count()),
           n_branches_(circuit.branch_total()) {
-        use_reuse_ =
-            opt.reuse_jacobian && ws_.backend() == SolverBackend::kSparse;
+        use_reuse_ = opt.reuse_jacobian;
         dt_floor_ = opt.dt_min > 0.0 ? opt.dt_min : opt.dt / 1024.0;
         dt_cap_ = std::max(opt.dt_max > 0.0 ? opt.dt_max : 32.0 * opt.dt,
                            dt_floor_);
@@ -301,8 +261,7 @@ public:
     TranStats stats;
 
 private:
-    // Legacy-compatible outer loop: record on the dt grid, halve on Newton
-    // failure only.
+    // Records on the dt grid; Newton failures bisect the grid interval.
     void run_fixed(std::vector<double>& x, std::vector<double>& state,
                    TranResult& result) {
         const auto n_steps = static_cast<std::size_t>(
@@ -310,33 +269,31 @@ private:
         for (std::size_t k = 0; k < n_steps; ++k) {
             const double t0 = opt_.dt * static_cast<double>(k);
             const double t1 = std::min(opt_.tstop, t0 + opt_.dt);
-            double t = t0;
-            double h = t1 - t0;
-            const double h_min =
-                (t1 - t0) * std::ldexp(1.0, -opt_.max_subdivisions);
-            while (t < t1 - time_ulp(t1)) {
-                double t_next = std::min(t1, t + h);
-                if (t1 - t_next <= time_ulp(t1)) t_next = t1;
-                const Integrator integ =
-                    step_has_breakpoint(bps_, t, t_next - t)
-                        ? Integrator::kBackwardEuler
-                        : opt_.integrator;
-                if (try_step(t, t_next, integ, x, state)) {
-                    accept(x, state);
-                    t = t_next;
-                } else {
-                    ++stats.steps_rejected;
-                    have_factor_ = false;
-                    h *= 0.5;
-                    if (h < h_min * 0.999) {
-                        throw NumericalError(
-                            "solve_tran: step at t=" + std::to_string(t) +
-                            " failed after max subdivisions");
-                    }
-                }
-            }
+            step_interval(t0, t1 - t0, 0, x, state);
             result.record(t1, x, n_nodes_, n_branches_);
         }
+    }
+
+    // Advances (x, state) from t0 to t0+h. A failed interval splits into
+    // two halves, each tried at half its size, down to max_subdivisions
+    // levels.
+    void step_interval(double t0, double h, int depth, std::vector<double>& x,
+                       std::vector<double>& state) {
+        const Integrator integ = step_has_breakpoint(bps_, t0, h)
+                                     ? Integrator::kBackwardEuler
+                                     : opt_.integrator;
+        if (try_step(t0 + h, h, integ, x, state)) {
+            accept(x, state);
+            return;
+        }
+        ++stats.steps_rejected;
+        have_factor_ = false;
+        if (depth >= opt_.max_subdivisions) {
+            throw NumericalError("solve_tran: step at t=" + std::to_string(t0) +
+                                 " failed after max subdivisions");
+        }
+        step_interval(t0, h * 0.5, depth + 1, x, state);
+        step_interval(t0 + h * 0.5, h * 0.5, depth + 1, x, state);
     }
 
     void run_adaptive(std::vector<double>& x, std::vector<double>& state,
@@ -374,7 +331,7 @@ private:
                     : opt_.integrator;
             lte_bail_enabled_ = have_history_ && !force_be &&
                                 h_prev_ > 0.0 && h > dt_floor_ * 1.001;
-            if (!try_step(t, t_next, integ, x, state)) {
+            if (!try_step(t_next, h, integ, x, state)) {
                 ++stats.steps_rejected;
                 if (att_lte_bail_) {
                     // Newton bailed early because the step is already far
@@ -435,13 +392,14 @@ private:
         }
     }
 
-    // Solves the step ending at t1 into x_new_ (x and state untouched, so a
-    // rejected attempt needs no rollback). Returns false on divergence.
-    bool try_step(double t0, double t1, Integrator integ,
+    // Solves the step of size h ending at t1 into x_new_ (x and state
+    // untouched, so a rejected attempt needs no rollback). Returns false on
+    // divergence.
+    bool try_step(double t1, double h, Integrator integ,
                   const std::vector<double>& x,
                   const std::vector<double>& state) {
         att_t1_ = t1;
-        att_h_ = t1 - t0;
+        att_h_ = h;
         att_integ_ = integ;
         att_step_id_ = base_step_id_;
         att_lte_bail_ = false;
@@ -462,7 +420,7 @@ private:
         if (use_reuse_)
             return newton_reuse(integ, t1, att_h_, x, state, att_step_id_);
         return newton_tran(circuit_, opt_, integ, t1, att_h_, x, state, x_new_,
-                           att_step_id_, &stats);
+                           att_step_id_, stats);
     }
 
     // Commits the attempt solved by the last successful try_step.
@@ -731,17 +689,7 @@ TranOptions fast_tran_options(double tstop, double dt) {
     return o;
 }
 
-TranResult solve_tran(Circuit& circuit, const TranOptions& opts_in) {
-    // MCSM_TRAN_ADAPTIVE=1 upgrades fixed-grid calls to LTE-adaptive
-    // stepping with the (tight) default budgets — a CI lever that drives
-    // every transient in a test binary through the adaptive loop without
-    // touching call sites. Explicit adaptive requests are unaffected.
-    TranOptions options = opts_in;
-    if (options.step_control == StepControl::kFixedGrid) {
-        if (const char* env = std::getenv("MCSM_TRAN_ADAPTIVE");
-            env != nullptr && env[0] == '1')
-            options.step_control = StepControl::kAdaptiveLte;
-    }
+TranResult solve_tran(Circuit& circuit, const TranOptions& options) {
     validate_tran_options(options);
     const obs::Span span("spice.solve_tran");
     circuit.prepare();
@@ -784,34 +732,10 @@ TranResult solve_tran(Circuit& circuit, const TranOptions& opts_in) {
     result.reserve(n_steps + 1, circuit.branch_total());
     result.record(0.0, x, circuit.node_count(), circuit.branch_total());
 
-    // The fast engine owns Jacobian reuse (sparse backend) and adaptive
-    // stepping; the default configuration stays on the legacy loop below,
-    // which is bit-compatible with the seed solver.
-    const bool fast_path =
-        options.step_control == StepControl::kAdaptiveLte ||
-        (options.reuse_jacobian &&
-         circuit.workspace().backend() == SolverBackend::kSparse);
-    if (fast_path) {
-        TranEngine engine(circuit, options, breakpoints);
-        engine.run(x, state, result);
-        result.set_stats(engine.stats);
-        publish_tran_stats(engine.stats);
-        return result;
-    }
-
-    TranScratch scratch;
-    scratch.x_new.reserve(x.size());
-    scratch.state_next.reserve(state.size());
-    TranStats stats;
-    for (std::size_t k = 0; k < n_steps; ++k) {
-        const double t0 = options.dt * static_cast<double>(k);
-        const double t1 = std::min(options.tstop, t0 + options.dt);
-        advance(circuit, options, breakpoints, t0, t1 - t0, x, state, scratch,
-                0, stats);
-        result.record(t1, x, circuit.node_count(), circuit.branch_total());
-    }
-    result.set_stats(stats);
-    publish_tran_stats(stats);
+    TranEngine engine(circuit, options, breakpoints);
+    engine.run(x, state, result);
+    result.set_stats(engine.stats);
+    publish_tran_stats(engine.stats);
     return result;
 }
 

@@ -1,7 +1,7 @@
 // Transient analysis with Newton-Raphson per step, trapezoidal or
 // backward-Euler integration, and two step-control regimes:
-//  * kFixedGrid (default) -- the record grid is the time grid; steps only
-//    subdivide on Newton failure. Bit-compatible with the seed solver.
+//  * kFixedGrid (default) -- the record grid is the time grid; a grid
+//    interval whose Newton solve fails is bisected recursively.
 //  * kAdaptiveLte -- a predictor-corrector local-truncation-error estimate
 //    grows and shrinks dt between source breakpoints (which stay exact).
 // Independently, `reuse_jacobian` freezes one sparse LU factorization across
@@ -24,7 +24,7 @@
 namespace mcsm::spice {
 
 enum class StepControl {
-    kFixedGrid,    // step on the dt grid (legacy; bit-compatible baseline)
+    kFixedGrid,    // step on the dt grid, bisecting on Newton failure
     kAdaptiveLte,  // LTE-controlled dt between breakpoints
 };
 
@@ -49,14 +49,14 @@ struct TranOptions {
     double lte_abs_v = 5e-5;  // absolute floor [V]
     double grow_max = 2.0;    // max per-accepted-step dt growth factor
 
-    // --- Jacobian reuse (sparse backend; silently off on dense) ---------
+    // --- Jacobian reuse -------------------------------------------------
     bool reuse_jacobian = false;
     double itol = 1e-9;  // residual acceptance on KCL rows [A] when the
                          // accepting iteration ran against a stale LU
     // Devices may keep their cached linearization — the channel tangent
     // model and the step-frozen capacitance evaluation — when no terminal
     // voltage moved more than this [V] since it was last evaluated (0 =
-    // re-evaluate everywhere, the bit-compatible default). Channel reuse
+    // re-evaluate everywhere, the default). Channel reuse
     // re-stamps the cached *tangent*, so its model error is second order
     // in the threshold; cap reuse is first order, which bounds how large
     // the knob should be. On a gate chain only the switching cells pay for

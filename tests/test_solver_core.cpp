@@ -1,9 +1,9 @@
 // Solver-core tests for the persistent sparse workspace:
-//  * randomized dense-vs-sparse cross-checks on generated MNA systems
-//    (pattern reuse, pivoting, refactor stability),
-//  * a before/after golden test pinning solve_tran waveforms on the
-//    NOR2/NAND2 fixtures to values captured from the pre-workspace dense
-//    solver,
+//  * randomized cross-checks of the sparse LU and the full solver stack
+//    against the dense partial-pivot LU oracle (pattern reuse, pivoting,
+//    refactor stability),
+//  * a golden test pinning solve_tran waveforms on the NOR2/NAND2 fixtures
+//    to values captured from the original dense solver,
 //  * an allocation counter proving the Newton assembly+solve cycle is
 //    heap-free after prepare(),
 //  * determinism of the parallel scenario sweeps.
@@ -38,7 +38,6 @@ namespace mcsm {
 namespace {
 
 using spice::Circuit;
-using spice::SolverBackend;
 using spice::SourceSpec;
 
 // --- SparseLu vs dense LU on random systems ------------------------------
@@ -266,21 +265,70 @@ Circuit make_random_circuit(std::mt19937& rng, int n_nodes) {
     return c;
 }
 
+// Dense oracle: the workspace's assembled CSR system copied into a
+// DenseMatrix and solved by partial-pivot LU, in unknown space.
+std::vector<double> dense_oracle_solve(const spice::SolverWorkspace& ws,
+                                       const spice::Stamper& st) {
+    const SparseMatrix& a = ws.csr_matrix();
+    DenseMatrix dense(a.size(), a.size());
+    for (std::size_t r = 0; r < a.size(); ++r) {
+        const auto cols = a.row_cols(r);
+        const auto vals = a.row_values(r);
+        for (std::size_t i = 0; i < cols.size(); ++i)
+            dense.at(r, static_cast<std::size_t>(cols[i])) = vals[i];
+    }
+    return solve_lu(std::move(dense), st.rhs());
+}
+
+// One dense-oracle Newton solve of a circuit's DC operating point from
+// `x` (DcResult::x layout), damped like solve_dc; assembly goes through
+// the workspace, every linear solve through dense_oracle_solve.
+void dense_newton_dc(Circuit& c, std::vector<double>& x) {
+    const spice::DcOptions opt;
+    spice::SolverWorkspace& ws = c.workspace();
+    spice::SimContext ctx;
+    ctx.mode = spice::SimContext::Mode::kDc;
+    ctx.x = &x;
+    const int n_nodes = c.node_count();
+    for (int it = 0; it < opt.max_iterations; ++it) {
+        spice::Stamper& st = ws.assemble(ctx);
+        st.add_gmin_everywhere(opt.gmin_final);
+        const std::vector<double> u = dense_oracle_solve(ws, st);
+        double dx_max = 0.0;
+        for (int node = 1; node < n_nodes; ++node)
+            dx_max = std::max(
+                dx_max, std::fabs(u[static_cast<std::size_t>(node - 1)] -
+                                  x[static_cast<std::size_t>(node)]));
+        const double alpha =
+            dx_max > opt.max_update ? opt.max_update / dx_max : 1.0;
+        for (std::size_t i = 1; i < x.size(); ++i)
+            x[i] += alpha * (u[i - 1] - x[i]);
+        if (dx_max < opt.vtol) return;
+    }
+    FAIL() << "dense-oracle Newton did not converge";
+}
+
 TEST(SolverWorkspace, RandomMnaDenseVsSparse) {
     std::mt19937 rng(42);
     for (int trial = 0; trial < 25; ++trial) {
         const int n_nodes = 4 + trial % 12;
         Circuit c = make_random_circuit(rng, n_nodes);
 
-        c.set_solver_backend(SolverBackend::kSparse);
         const spice::DcResult sparse = spice::solve_dc(c);
-        c.set_solver_backend(SolverBackend::kDense);
-        const spice::DcResult dense = spice::solve_dc(c);
+        // Linear circuit: one dense solve of the assembled system (gmin
+        // shunt included, as solve_dc stamps it) is the exact answer.
+        spice::SolverWorkspace& ws = c.workspace();
+        spice::SimContext ctx;
+        ctx.mode = spice::SimContext::Mode::kDc;
+        ctx.x = &sparse.x;
+        spice::Stamper& st = ws.assemble(ctx);
+        st.add_gmin_everywhere(spice::DcOptions{}.gmin_final);
+        const std::vector<double> dense = dense_oracle_solve(ws, st);
 
-        ASSERT_EQ(sparse.x.size(), dense.x.size());
-        for (std::size_t i = 0; i < sparse.x.size(); ++i)
-            EXPECT_NEAR(sparse.x[i], dense.x[i],
-                        1e-9 * std::max(1.0, std::fabs(dense.x[i])))
+        ASSERT_EQ(sparse.x.size(), dense.size() + 1);
+        for (std::size_t i = 1; i < sparse.x.size(); ++i)
+            EXPECT_NEAR(sparse.x[i], dense[i - 1],
+                        1e-9 * std::max(1.0, std::fabs(dense[i - 1])))
                 << "trial " << trial << " unknown " << i;
     }
 }
@@ -288,33 +336,27 @@ TEST(SolverWorkspace, RandomMnaDenseVsSparse) {
 TEST(SolverWorkspace, NonlinearDenseVsSparse) {
     // A transistor circuit exercises gmin stepping and many refactors.
     const tech::Technology t = tech::make_tech130();
-    auto build = [&]() {
-        Circuit c;
-        const int vdd = c.node("vdd");
-        const int in = c.node("in");
-        const int out = c.node("out");
-        c.add_vsource("VDD", vdd, Circuit::kGround, SourceSpec::dc(t.vdd));
-        c.add_vsource("VIN", in, Circuit::kGround, SourceSpec::dc(0.6));
-        c.add_mosfet("MN", out, in, Circuit::kGround, Circuit::kGround,
-                     t.nmos, t.wn_unit, t.lmin);
-        c.add_mosfet("MP", out, in, vdd, vdd, t.pmos, t.wp_unit, t.lmin);
-        return c;
-    };
-    Circuit cs = build();
-    cs.set_solver_backend(SolverBackend::kSparse);
-    const spice::DcResult rs = spice::solve_dc(cs);
-    Circuit cd = build();
-    cd.set_solver_backend(SolverBackend::kDense);
-    const spice::DcResult rd = spice::solve_dc(cd);
-    EXPECT_NEAR(rs.node_voltage(cs.node_id("out")),
-                rd.node_voltage(cd.node_id("out")), 1e-6);
+    Circuit c;
+    const int vdd = c.node("vdd");
+    const int in = c.node("in");
+    const int out = c.node("out");
+    c.add_vsource("VDD", vdd, Circuit::kGround, SourceSpec::dc(t.vdd));
+    c.add_vsource("VIN", in, Circuit::kGround, SourceSpec::dc(0.6));
+    c.add_mosfet("MN", out, in, Circuit::kGround, Circuit::kGround, t.nmos,
+                 t.wn_unit, t.lmin);
+    c.add_mosfet("MP", out, in, vdd, vdd, t.pmos, t.wp_unit, t.lmin);
+    const spice::DcResult rs = spice::solve_dc(c);
+
+    // The oracle Newton starts cold, independent of the sparse answer.
+    std::vector<double> xd(rs.x.size(), 0.0);
+    dense_newton_dc(c, xd);
+    EXPECT_NEAR(rs.node_voltage(out), xd[static_cast<std::size_t>(out)], 1e-6);
 }
 
-// --- before/after golden waveforms ---------------------------------------
+// --- golden waveforms ----------------------------------------------------
 
-// Samples captured from the pre-refactor (seed) solver on these exact
-// fixtures; the retained dense backend reproduces its arithmetic bit for
-// bit, the sparse workspace must stay within 1e-12 round-off.
+// Samples captured from the original dense-LU solver on these exact
+// fixtures; the sparse workspace must stay within round-off of them.
 struct GoldenCase {
     const char* cell;
     double expect[6];
@@ -332,7 +374,7 @@ const GoldenCase kGoldenCases[2] = {
       1.1938037397328249, 1.1999950309613474, 1.1999954109179714}},
 };
 
-void check_golden(SolverBackend backend, double tol) {
+TEST(GoldenWaveforms, SparseWorkspaceWithinRoundoff) {
     const tech::Technology t = tech::make_tech130();
     const cells::CellLibrary lib(t);
     spice::TranOptions topt;
@@ -343,21 +385,12 @@ void check_golden(SolverBackend backend, double tol) {
     for (const GoldenCase& gc : kGoldenCases) {
         engine::GoldenCell cell(lib, gc.cell, {{"A", stim.a}, {"B", stim.b}},
                                 engine::LoadSpec{5e-15, 0, "INV_X1"});
-        cell.circuit().set_solver_backend(backend);
         const spice::TranResult res = cell.run(topt);
         const wave::Waveform w = res.node_waveform(cell.out_node());
         for (int i = 0; i < 6; ++i)
-            EXPECT_NEAR(w.at(kSampleTimes[i]), gc.expect[i], tol)
+            EXPECT_NEAR(w.at(kSampleTimes[i]), gc.expect[i], 1e-9)
                 << gc.cell << " sample " << i;
     }
-}
-
-TEST(GoldenWaveforms, DenseBackendBitCompatibleWithSeed) {
-    check_golden(SolverBackend::kDense, 1e-12);
-}
-
-TEST(GoldenWaveforms, SparseWorkspaceWithinRoundoff) {
-    check_golden(SolverBackend::kSparse, 1e-9);
 }
 
 // --- zero allocations in the Newton assembly+solve cycle -----------------
@@ -370,7 +403,6 @@ TEST(SolverWorkspace, NewtonCycleIsAllocationFreeAfterPrepare) {
     engine::GoldenCell cell(lib, "NOR2", {{"A", stim.a}, {"B", stim.b}},
                             engine::LoadSpec{5e-15, 2, "INV_X1"});
     Circuit& c = cell.circuit();
-    c.set_solver_backend(SolverBackend::kSparse);
 
     // Warm everything: workspace build, first factorization, operating
     // point, and the source-waveform evaluation paths.

@@ -12,14 +12,16 @@
 //  * breakpoints landing within one ulp of an accepted step are consumed,
 //    never double-stepped,
 //  * rejected-step / refactor counters are exercised, and
-//  * MCSM_TRAN_ADAPTIVE=1 upgrades fixed-grid calls to adaptive stepping.
+//  * fixed-grid Newton failures bisect recursively, bit for bit, while the
+//    record grid stays the dt grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cells/library.h"
@@ -37,40 +39,10 @@ namespace mcsm {
 namespace {
 
 using spice::Circuit;
-using spice::SolverBackend;
 using spice::SourceSpec;
 using spice::StepControl;
 using spice::TranOptions;
 using spice::TranResult;
-
-// Pins MCSM_TRAN_ADAPTIVE for a scope and restores the previous value:
-// tests that assert *fixed-grid* behavior must hold even when the CI job
-// exports the override for the rest of the suite.
-class ScopedTranAdaptiveEnv {
-public:
-    explicit ScopedTranAdaptiveEnv(const char* value) {
-        const char* cur = std::getenv(kName);
-        had_ = cur != nullptr;
-        if (had_) old_ = cur;
-        if (value != nullptr)
-            setenv(kName, value, 1);
-        else
-            unsetenv(kName);
-    }
-    ~ScopedTranAdaptiveEnv() {
-        if (had_)
-            setenv(kName, old_.c_str(), 1);
-        else
-            unsetenv(kName);
-    }
-    ScopedTranAdaptiveEnv(const ScopedTranAdaptiveEnv&) = delete;
-    ScopedTranAdaptiveEnv& operator=(const ScopedTranAdaptiveEnv&) = delete;
-
-private:
-    static constexpr const char* kName = "MCSM_TRAN_ADAPTIVE";
-    bool had_ = false;
-    std::string old_;
-};
 
 // --- TranOptions validation ----------------------------------------------
 
@@ -196,9 +168,6 @@ TEST(AdaptiveLte, MatchesFixedGridTimingWithFewerSteps) {
 }
 
 TEST(FixedGrid, JacobianReuseTracksPlainNewton) {
-    // This test is about the *fixed-grid* reuse path: identical record
-    // grids are part of the claim, so pin the env override off.
-    ScopedTranAdaptiveEnv env(nullptr);
     const tech::Technology t = tech::make_tech130();
     const cells::CellLibrary lib(t);
     const auto specs = nor2_specs(t, 1);
@@ -298,9 +267,9 @@ int ulp_diff(double a, double b) {
     return 9;
 }
 
-// An RC/source-only circuit: every device lands in LinearBatch on the
-// sparse backend (V sources with dc and pwl specs, I source, resistor
-// ladder, grounded and floating caps).
+// An RC/source-only circuit: every device lands in LinearBatch (V sources
+// with dc and pwl specs, I source, resistor ladder, grounded and floating
+// caps).
 Circuit make_linear_circuit() {
     Circuit c;
     const int a = c.node("a");
@@ -323,7 +292,6 @@ Circuit make_linear_circuit() {
 
 TEST(LinearBatch, MatchesVirtualStampAtUlpScale) {
     Circuit c = make_linear_circuit();
-    c.set_solver_backend(SolverBackend::kSparse);
     c.prepare();
     spice::SolverWorkspace& ws = c.workspace();
     ASSERT_GT(ws.linear_batch().size(), 0u);
@@ -391,7 +359,6 @@ TEST(Breakpoints, UlpCoincidentBreakpointsAreNotDoubleStepped) {
                       0.0, {{std::nextafter(t_bp, 1.0), 40e-12, 1.2}})));
     c.add_resistor("R1", a, b, 1e3);
     c.add_capacitor("C1", b, Circuit::kGround, 20e-15);
-    c.set_solver_backend(SolverBackend::kSparse);
 
     const TranOptions fast = spice::fast_tran_options(1.0e-9, 2e-12);
     const TranResult res = spice::solve_tran(c, fast);
@@ -410,37 +377,66 @@ TEST(Breakpoints, UlpCoincidentBreakpointsAreNotDoubleStepped) {
     EXPECT_NEAR(times.back(), 1.0e-9, 1e-15);
 }
 
-// --- environment override -------------------------------------------------
+// --- fixed-grid Newton-failure subdivision --------------------------------
 
-TEST(EnvOverride, TranAdaptiveUpgradesFixedGridCalls) {
+// Output-node samples of the run below, one per grid point, captured from
+// the recursive-bisection stepping loop: a failed interval splits into two
+// halves tried at half its size, and the second half starts again at half
+// the parent size. Any other retry order shifts the intermediate solutions
+// and shows up in these bits.
+constexpr double kSubdividedOut[31] = {
+    0x1.b6cab22ef3c4bp-24, 0x1.b6cab2308e336p-24, 0x1.b6cab2308defap-24,
+    0x1.b6cab23053116p-24, 0x1.b6cab22dce389p-24, 0x1.b6cab22bf93a4p-24,
+    0x1.b6cab22fa2c1ap-24, 0x1.b6cab22dcdb86p-24, 0x1.b6cab22a21b59p-24,
+    0x1.b6cab22dcafcep-24, 0x1.b6cab22bf6375p-24, 0x1.b6cab22dcafcep-24,
+    0x1.b6cab22bf6375p-24, 0x1.b6cab22fda575p-24, 0x1.b6cab2304f414p-24,
+    0x1.b6cab22ca53b8p-24, 0x1.ce4795b198cc8p-3,  0x1.a949b6cb24dd4p-1,
+    0x1.17264641f418dp+0,  0x1.2b8e5677ab56p+0,   0x1.317fca9f2466p+0,
+    0x1.32d303b041581p+0,  0x1.331e7730a1886p+0,  0x1.332e706bcd6e2p+0,
+    0x1.33324698a91ddp+0,  0x1.3332e6356d797p+0,  0x1.33332bc0ed156p+0,
+    0x1.3333253191e9cp+0,  0x1.3333316ee3fb9p+0,  0x1.33332b84d8cb9p+0,
+    0x1.33332f9f5ee91p+0,
+};
+
+TEST(FixedGrid, NestedSubdivisionOnNewtonFailure) {
     const tech::Technology t = tech::make_tech130();
     const cells::CellLibrary lib(t);
-    const auto specs = nor2_specs(t, 1);
+    // A 10 ps edge on a 20 ps grid with a 3-iteration Newton budget: many
+    // grid intervals fail outright, and some of their halves fail again.
+    const engine::MisStimulus stim =
+        engine::nor2_simultaneous_fall(t.vdd, 0.3e-9, 10e-12, 0.0);
+    const auto run = [&](int max_subdivisions) {
+        engine::GoldenCell cell(lib, "NOR2", {{"A", stim.a}, {"B", stim.b}},
+                                engine::LoadSpec{5e-15, 0, "INV_X1"});
+        TranOptions o;
+        o.tstop = 0.6e-9;
+        o.dt = 20e-12;
+        o.max_newton = 3;
+        o.max_subdivisions = max_subdivisions;
+        const TranResult r = cell.run(o);
+        return std::make_pair(r, r.node_waveform(cell.out_node()));
+    };
 
-    TranOptions fixed;
-    fixed.tstop = 1.6e-9;
-    fixed.dt = 4e-12;
+    // One level of bisection is not enough: the failure nests.
+    EXPECT_THROW(run(1), NumericalError);
 
-    std::vector<engine::ScenarioResult> plain;
-    {
-        ScopedTranAdaptiveEnv off(nullptr);
-        plain = engine::run_golden_scenarios(lib, specs, fixed, 1);
+    const auto [res, out] = run(10);
+    const spice::TranStats& st = res.stats();
+    EXPECT_GT(st.steps_rejected, 0);
+    EXPECT_EQ(st.steps_rejected, 21);
+    EXPECT_EQ(st.steps_accepted, 30 + st.steps_rejected);
+    EXPECT_EQ(st.newton_iters, 178);
+
+    // Subdivided sub-steps are not recorded: the record grid stays the dt
+    // grid, each point computed as t0 + dt with t0 = k * dt.
+    ASSERT_EQ(out.size(), 31u);
+    EXPECT_EQ(out.time(0), 0.0);
+    for (std::size_t i = 1; i < out.size(); ++i) {
+        const double t0 = 20e-12 * static_cast<double>(i - 1);
+        EXPECT_EQ(out.time(i), std::min(0.6e-9, t0 + 20e-12)) << "sample " << i;
     }
-    std::vector<engine::ScenarioResult> forced;
-    {
-        ScopedTranAdaptiveEnv on("1");
-        forced = engine::run_golden_scenarios(lib, specs, fixed, 1);
-    }
-
-    // The upgraded run records at accepted (LTE-chosen) steps instead of
-    // the fixed grid, so the time axes differ while timing agrees within
-    // the adaptive default budget.
-    EXPECT_NE(plain[0].result.times(), forced[0].result.times());
-    const wave::Waveform wp =
-        plain[0].result.node_waveform(plain[0].out_node);
-    const wave::Waveform wf =
-        forced[0].result.node_waveform(forced[0].out_node);
-    EXPECT_LT(std::fabs(t50_rise(wf, t.vdd) - t50_rise(wp, t.vdd)), 2e-12);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_EQ(out.value(i), kSubdividedOut[i]) << "sample " << i;
 }
 
 }  // namespace
