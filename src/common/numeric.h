@@ -34,20 +34,9 @@ inline SpSig softplus_logistic_ref(double x) {
 // log (degree-6 core), switching to a short alternating series below
 // z = 2^-12 where the mantissa reduction would cancel. Worst relative
 // error vs the reference is ~2e-12 on both outputs over the full double
-// range (asserted in test_ekv_batch). Compiled to the reference when
-// MCSM_NO_FAST_EKV is defined (the CI portability job builds both
-// flavors).
+// range (asserted in test_ekv_batch). This is the only kernel the solver
+// runs; softplus_logistic_ref stays as the test oracle.
 SpSig softplus_logistic_fast(double x);
-
-// True when softplus_logistic_fast is the distinct piecewise approximation
-// (i.e. the library was built without MCSM_NO_FAST_EKV).
-constexpr bool fast_ekv_enabled() {
-#ifdef MCSM_NO_FAST_EKV
-    return false;
-#else
-    return true;
-#endif
-}
 
 // Smooth absolute value: sqrt(x^2 + eps^2) - eps, so smooth_abs(0) == 0.
 double smooth_abs(double x, double eps);

@@ -1,8 +1,5 @@
 #include "common/simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace mcsm::simd {
 
 const Caps& cpu_caps() {
@@ -37,40 +34,10 @@ bool width_compiled(int w) {
     }
 }
 
-namespace {
-
-bool env_truthy(const char* v) {
-    return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-// Widest width <= `cap` that is both compiled in and CPU-supported.
-int widest_available(const Caps& caps, int cap) {
+int pick_width(const Caps& caps, int cap) {
     if (cap >= 8 && caps.avx512 && width_compiled(8)) return 8;
     if (cap >= 4 && caps.avx2_fma && width_compiled(4)) return 4;
     return 1;
-}
-
-}  // namespace
-
-int pick_width(const Caps& caps, const char* no_simd_env,
-               const char* width_env) {
-    if (!compiled_in()) return 1;
-    if (env_truthy(no_simd_env)) return 1;
-    int cap = 8;
-    if (width_env != nullptr && width_env[0] != '\0') {
-        const int w = std::atoi(width_env);
-        // Malformed or out-of-range requests fall back to scalar rather
-        // than silently picking a vector width the operator didn't ask for.
-        cap = (w == 1 || w == 4 || w == 8) ? w : 1;
-    }
-    return widest_available(caps, cap);
-}
-
-int default_width() {
-    static const int width =
-        pick_width(cpu_caps(), std::getenv("MCSM_NO_SIMD"),
-                   std::getenv("MCSM_SIMD_WIDTH"));
-    return width;
 }
 
 }  // namespace mcsm::simd

@@ -16,17 +16,15 @@
 //
 // Runtime dispatch: cpu_caps() probes the running CPU once (cpuid via
 // __builtin_cpu_supports on x86-64; everything false elsewhere) and
-// pick_width() turns caps + environment into a lane width:
-//   MCSM_NO_SIMD=1        force the scalar fallback (width 1)
-//   MCSM_SIMD_WIDTH=1|4|8 pin a width, clamped down to what the CPU and
-//                         the build support
-// Auto dispatch takes the widest compiled width the CPU supports. Width
-// resolution is a pure function so the policy is unit-testable without
-// faking cpuid.
+// pick_width() clamps a requested width down to the widest one the CPU and
+// the build support. Production dispatch always asks for the widest
+// (kMaxWidth); only the test hook spice::ekv_lane_force_width asks for
+// less. Width resolution is a pure function so the policy is unit-testable
+// without faking cpuid.
 //
-// Build gating: -DMCSM_SIMD=OFF (or MCSM_FAST_EKV=OFF, whose libm kernel
-// the lane tier does not reimplement) compiles the vector TUs out entirely;
-// compiled_in() reports which flavor this build is.
+// Build gating: the vector TUs are built whenever the platform allows it
+// (x86-64, a GNU/Clang compiler that accepts -mavx2); compiled_in()
+// reports whether this build has them.
 #ifndef MCSM_COMMON_SIMD_H
 #define MCSM_COMMON_SIMD_H
 
@@ -46,8 +44,8 @@
 
 namespace mcsm::simd {
 
-// True when the vector lane kernels are part of this build (MCSM_SIMD=ON,
-// fast EKV kernel on, x86-64 toolchain with AVX2 support available).
+// True when the vector lane kernels are part of this build (x86-64
+// GNU/Clang toolchain that accepts -mavx2).
 constexpr bool compiled_in() {
 #ifdef MCSM_SIMD_ENABLED
     return true;
@@ -282,17 +280,13 @@ const Caps& cpu_caps();
 // Widths compiled into this binary (scalar is always available).
 bool width_compiled(int w);
 
-// Pure dispatch policy: the widest compiled width the CPU supports, capped
-// by the env knobs. `no_simd_env` / `width_env` are the raw values of
-// MCSM_NO_SIMD / MCSM_SIMD_WIDTH (nullptr when unset). Unsupported or
-// malformed requests clamp down to the next available width, never up.
-int pick_width(const Caps& caps, const char* no_simd_env,
-               const char* width_env);
+// Widest lane width any build can have.
+inline constexpr int kMaxWidth = 8;
 
-// pick_width over the real environment and cpu_caps(), cached per process
-// so every batch in the process dispatches the same kernel (the fixed
-// kernel config the determinism contract is stated over).
-int default_width();
+// Pure dispatch policy: the widest width <= `cap` that is both compiled in
+// and supported by `caps`. Unsupported requests (2, 5, ...) clamp down to
+// the next available width, never up; anything below 4 is scalar.
+int pick_width(const Caps& caps, int cap);
 
 }  // namespace mcsm::simd
 

@@ -113,12 +113,11 @@ struct ServeOptions {
     std::vector<double> skew_knots_mis3{-2.5, -1.0, 0.0, 1.0, 2.5};
     std::vector<double> skew_pair_knots_mis3{-2.0, -0.6, 0.0, 0.6, 2.0};
     std::vector<double> load_knots_mis3{1e-15, 8e-15, 32e-15};
+    // Every evaluator transient (surface knot builds and exact queries)
+    // runs spice::fast_tran_options(tstop, dt) -- LTE-adaptive stepping +
+    // Jacobian reuse -- so LUT and exact answers stay consistent.
     double dt = 2e-12;      // transient step of the evaluators [s]
     double settle = 2e-9;   // post-edge simulation window [s]
-    // LTE-adaptive stepping + Jacobian reuse for every evaluator transient
-    // (surface knot builds and exact queries share the path, so LUT and
-    // exact answers stay consistent); false forces the fixed-dt grid.
-    bool adaptive_tran = true;
     std::size_t threads = 0;  // batch fan-out (0: all cores)
     // Directory for persisted arc surfaces (empty: in-memory only). Stale
     // files (different knots/dt/settle) are rebuilt and overwritten, never

@@ -439,17 +439,13 @@ void MosfetBatch::refresh_caps(const SimContext& ctx) const {
 void MosfetBatch::evaluate_and_stamp(SparseMatrix& matrix,
                                      std::vector<double>& rhs,
                                      const SimContext& ctx) const {
-#ifdef MCSM_NO_FAST_EKV
-    stamp_channel(matrix, rhs, ctx, mcsm::softplus_logistic_ref);
-#else
     // Width 1 means the SIMD tier is compiled out, the CPU lacks AVX2+FMA,
-    // or MCSM_NO_SIMD forced scalar — the plain fused loop wins there (no
+    // or a test pinned width 1 — the plain fused loop wins there (no
     // gather/scatter detour for zero lane parallelism).
     if (ekv_lane_width() > 1)
         stamp_channel_lanes(matrix, rhs, ctx);
     else
         stamp_channel(matrix, rhs, ctx, mcsm::softplus_logistic_fast);
-#endif
 
     if (!ctx.is_tran() || ctx.dt <= 0.0) return;
     if (ctx.step_id < 0 || ctx.step_id != cap_step_id_ ||

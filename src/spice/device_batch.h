@@ -7,9 +7,10 @@
 // topology against the workspace's CSR pattern — the matrix slot of every
 // entry a device stamps. evaluate_and_stamp() then
 //   1. gathers terminal voltages,
-//   2. evaluates the EKV current/conductances for all devices in one flat
-//      loop (piecewise-polynomial softplus/logistic fast path unless the
-//      library was built with MCSM_NO_FAST_EKV),
+//   2. evaluates the EKV current/conductances for all devices with the
+//      piecewise-polynomial softplus/logistic kernel, through the SIMD lane
+//      kernel when the CPU dispatch picked a vector width and one fused
+//      scalar loop otherwise,
 //   3. scatters the linearized stamps straight into CSR value slots and RHS
 //      rows, skipping the Stamper's per-write map probes.
 // Companion-capacitor stamps (5 pairs per device, linearized at the
@@ -45,14 +46,14 @@ public:
 
     // Evaluates all devices at the node voltages in ctx and scatters the
     // linearized stamps into `matrix`/`rhs` (rhs indexed by unknown row).
-    // Uses the fast EKV kernel unless built with MCSM_NO_FAST_EKV.
+    // Always uses the fast EKV kernel.
     void evaluate_and_stamp(SparseMatrix& matrix, std::vector<double>& rhs,
                             const SimContext& ctx) const;
 
     // Evaluation-only hook for tests and benches: out[i] receives device
     // i's channel current evaluated at the node voltages in `x` (node-id
-    // indexed like SimContext::x). `fast` selects the kernel;
-    // evaluate_and_stamp always uses the compiled-in default.
+    // indexed like SimContext::x). `fast` selects the kernel (false = the
+    // libm reference oracle); evaluate_and_stamp always uses the fast one.
     void evaluate(const std::vector<double>& x, MosCurrent* out,
                   bool fast) const;
 

@@ -3,12 +3,11 @@
 //     I = Is * [F(vp - vs) - F(vp - vd)] * (1 + lambda*|vds|),
 //     F(v) = softplus(v / 2Ut)^2,  vp = (vg - VT0)/n   (bulk-referenced).
 //
-// The arithmetic here is transcribed exactly from the original
-// Mosfet::evaluate_current so that the reference-math instantiation stays
-// bit-identical to the scalar device (the dense solver backend pins that
-// path to the seed waveforms). The math policy only swaps how the
-// softplus/logistic pair is computed: `softplus_logistic_ref` (libm) or
-// `softplus_logistic_fast` (piecewise polynomial, see common/numeric.h).
+// The math policy only swaps how the softplus/logistic pair is computed:
+// the solver always runs `softplus_logistic_fast` (piecewise polynomial, see
+// common/numeric.h), while Mosfet::evaluate_current instantiates
+// `softplus_logistic_ref` (libm) as the test oracle the batch is checked
+// against.
 #ifndef MCSM_SPICE_EKV_H
 #define MCSM_SPICE_EKV_H
 

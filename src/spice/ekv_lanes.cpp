@@ -25,22 +25,20 @@ Kernel kernel_for_width(int w) {
     return {&ekv_eval_lanes_w1, 1, "scalar"};
 }
 
-// 0 = follow simd::default_width(); otherwise a pinned width from
-// ekv_lane_force_width (tests/bench only).
+// 0 = default dispatch; otherwise a pinned width from ekv_lane_force_width
+// (tests/bench only).
 std::atomic<int> g_forced{0};
 
+// Default dispatch asks for the widest width (resolved once per process);
+// a forced width goes through the same clamp, so only what the build and
+// CPU can run is ever picked.
 Kernel current_kernel() {
+    static const int default_width =
+        simd::pick_width(simd::cpu_caps(), simd::kMaxWidth);
     const int forced = g_forced.load(std::memory_order_relaxed);
-    if (forced > 0) {
-        // Pin only what the build and CPU can actually run.
-        const int w = forced;
-        if (w >= 8 && simd::cpu_caps().avx512 && simd::width_compiled(8))
-            return kernel_for_width(8);
-        if (w >= 4 && simd::cpu_caps().avx2_fma && simd::width_compiled(4))
-            return kernel_for_width(4);
-        return kernel_for_width(1);
-    }
-    return kernel_for_width(simd::default_width());
+    return kernel_for_width(
+        forced > 0 ? simd::pick_width(simd::cpu_caps(), forced)
+                   : default_width);
 }
 
 }  // namespace

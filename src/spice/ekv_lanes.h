@@ -14,9 +14,9 @@
 // all with -ffp-contract=off, so every width executes the same IEEE
 // operation sequence as the scalar fast path and results are bit-identical
 // regardless of which kernel the CPU dispatch picks (test_ekv_batch
-// asserts this). ekv_lane_kernel() resolves the widest compiled+supported
-// width once per process via simd::default_width(); MCSM_NO_SIMD=1 and
-// MCSM_SIMD_WIDTH=1|4|8 override (see common/simd.h).
+// asserts this). ekv_lane_kernel() runs the widest width this build and
+// CPU support (simd::pick_width, see common/simd.h); there is no runtime
+// override outside the ekv_lane_force_width test hook.
 #ifndef MCSM_SPICE_EKV_LANES_H
 #define MCSM_SPICE_EKV_LANES_H
 
@@ -56,16 +56,15 @@ struct EkvLanes {
 using EkvLaneFn = void (*)(const EkvLanes&, std::size_t n);
 
 // The dispatched kernel, its lane width, and a human-readable name
-// ("scalar", "avx2x4", "avx512x8") for logs/metrics. Resolved once from
-// simd::default_width(); stable for the life of the process unless
-// ekv_lane_force_width re-pins it.
+// ("scalar", "avx2x4", "avx512x8") for logs/metrics. Stable for the life
+// of the process unless ekv_lane_force_width re-pins it.
 EkvLaneFn ekv_lane_kernel();
 int ekv_lane_width();
 const char* ekv_lane_kernel_name();
 
-// Test/bench hook: pin the kernel to a specific width (1, 4 or 8; clamped
-// down to what this build and CPU support). 0 restores the default
-// dispatch. Not for concurrent use with running solves.
+// Test/bench hook: pin the kernel to a specific width, clamped down by
+// simd::pick_width to what this build and CPU support. 0 restores the
+// default dispatch. Not for concurrent use with running solves.
 void ekv_lane_force_width(int w);
 
 // Per-width instantiations (defined in their per-target TUs). Prefer

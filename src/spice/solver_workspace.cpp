@@ -82,23 +82,11 @@ SolverWorkspace::SolverWorkspace(const Circuit& circuit)
     // active kernel visible wherever stats are read (obs dump, server
     // stats line) without a solve having run yet.
     static obs::Gauge& width_gauge = obs::gauge("solver.simd.width");
-    width_gauge.set(simd_width());
+    width_gauge.set(ekv_lane_width());
     if (!resistors.empty() || !capacitors.empty() || !vsources.empty() ||
         !isources.empty())
         linear_batch_.build(resistors, capacitors, vsources, isources,
                             matrix_, circuit.node_count());
-}
-
-int SolverWorkspace::simd_width() const {
-#ifdef MCSM_NO_FAST_EKV
-    return 1;
-#else
-    return ekv_lane_width();
-#endif
-}
-
-const char* SolverWorkspace::simd_kernel_name() const {
-    return simd_width() > 1 ? ekv_lane_kernel_name() : "scalar";
 }
 
 Stamper& SolverWorkspace::begin_assembly() {

@@ -93,11 +93,6 @@ public:
     const SparseMatrix& csr_matrix() const { return matrix_; }
 
     // --- instrumentation ------------------------------------------------
-    // Lane width of the dispatched SIMD EKV kernel this workspace's
-    // assemble() uses for the MOSFET batch (1 = scalar fast path).
-    int simd_width() const;
-    // "scalar", "avx2x4" or "avx512x8" — the matching kernel name.
-    const char* simd_kernel_name() const;
     std::size_t solve_count() const { return solves_; }
     // How often the pivot-order analysis had to rerun (1 per topology in
     // the steady state; more means unstable refactors).

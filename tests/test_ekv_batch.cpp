@@ -419,8 +419,8 @@ std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(SimdDispatch, PickWidthPolicy) {
     const simd::Caps none;  // CPU without AVX2/FMA: must fall back cleanly
-    EXPECT_EQ(simd::pick_width(none, nullptr, nullptr), 1);
-    EXPECT_EQ(simd::pick_width(none, nullptr, "8"), 1);
+    EXPECT_EQ(simd::pick_width(none, simd::kMaxWidth), 1);
+    EXPECT_EQ(simd::pick_width(none, 4), 1);
 
     simd::Caps avx2;
     avx2.avx2_fma = true;
@@ -431,9 +431,9 @@ TEST(SimdDispatch, PickWidthPolicy) {
     EXPECT_FALSE(simd::width_compiled(5));
 
     if (!simd::compiled_in()) {
-        // MCSM_SIMD=OFF (or no fast kernel / non-x86 build): the tier is
-        // compiled out and every dispatch resolves to the scalar kernel.
-        EXPECT_EQ(simd::pick_width(avx512, nullptr, nullptr), 1);
+        // Non-x86 (or no -mavx2) build: the tier is compiled out and every
+        // dispatch resolves to the scalar kernel.
+        EXPECT_EQ(simd::pick_width(avx512, simd::kMaxWidth), 1);
         EXPECT_FALSE(simd::width_compiled(4));
         EXPECT_FALSE(simd::width_compiled(8));
         EXPECT_EQ(spice::ekv_lane_width(), 1);
@@ -442,20 +442,26 @@ TEST(SimdDispatch, PickWidthPolicy) {
 
     const int w4 = simd::width_compiled(4) ? 4 : 1;
     const int w8 = simd::width_compiled(8) ? 8 : w4;
-    EXPECT_EQ(simd::pick_width(avx2, nullptr, nullptr), w4);
-    // Auto dispatch takes the widest compiled width the CPU supports.
-    EXPECT_EQ(simd::pick_width(avx512, nullptr, nullptr), w8);
-    // An explicit width request clamps down to CPU/build support.
-    EXPECT_EQ(simd::pick_width(avx512, nullptr, "8"), w8);
-    EXPECT_EQ(simd::pick_width(avx2, nullptr, "8"), w4);
-    EXPECT_EQ(simd::pick_width(avx512, nullptr, "4"), w4);
-    // MCSM_NO_SIMD beats everything ("0" counts as unset).
-    EXPECT_EQ(simd::pick_width(avx512, "1", "8"), 1);
-    EXPECT_EQ(simd::pick_width(avx512, "0", nullptr), w8);
-    // Malformed or unsupported width requests fall back to scalar.
-    EXPECT_EQ(simd::pick_width(avx512, nullptr, "2"), 1);
-    EXPECT_EQ(simd::pick_width(avx512, nullptr, "banana"), 1);
-    EXPECT_EQ(simd::pick_width(avx512, nullptr, "1"), 1);
+    // Default dispatch takes the widest compiled width the CPU supports.
+    EXPECT_EQ(simd::pick_width(avx2, simd::kMaxWidth), w4);
+    EXPECT_EQ(simd::pick_width(avx512, simd::kMaxWidth), w8);
+    // A smaller cap clamps down to CPU/build support.
+    EXPECT_EQ(simd::pick_width(avx512, 4), w4);
+    EXPECT_EQ(simd::pick_width(avx512, 1), 1);
+    // Unsupported widths clamp down to the next available one, never up.
+    EXPECT_EQ(simd::pick_width(avx512, 2), 1);
+    EXPECT_EQ(simd::pick_width(avx512, 5), w4);
+    EXPECT_EQ(simd::pick_width(avx512, 0), 1);
+
+    // The test hook goes through the same clamp as default dispatch.
+    EXPECT_EQ(spice::ekv_lane_width(),
+              simd::pick_width(simd::cpu_caps(), simd::kMaxWidth));
+    for (int w : {1, 2, 4, 5, 8}) {
+        ForcedWidth guard(w);
+        EXPECT_EQ(spice::ekv_lane_width(),
+                  simd::pick_width(simd::cpu_caps(), w))
+            << "forced width " << w;
+    }
 }
 
 TEST(SimdLanes, LaneKernelBitIdenticalToScalarFastAcrossWidths) {
