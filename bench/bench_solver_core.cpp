@@ -6,11 +6,14 @@
 //    blocked vs per-RHS solves,
 //  * full transient wall-clock on the same circuits, fixed grid vs the
 //    adaptive fast path,
+//  * the MCSM NOR2 FO2 transient against the transistor-level transient of
+//    the same scenario (the paper's premise: the model must be faster),
 //  * characterization wall-clock, serial vs parallel,
 //  * heap-allocation count of the steady-state Newton cycle (must be 0).
 //
 // Correctness and speed gates (adaptive accuracy, zero allocations, the
-// batched/blocked/SIMD/adaptive wins, obs overhead) drive the exit code. See bench_perf_speedup
+// batched/blocked/SIMD/adaptive wins, MCSM vs golden, obs overhead) drive
+// the exit code. See bench_perf_speedup
 // for the machine-readable BENCH_perf.json (it times the same stages
 // through the shared bench_util helpers).
 #include <algorithm>
@@ -20,6 +23,8 @@
 
 #include "bench_util.h"
 #include "common/parallel.h"
+#include "core/model_scenarios.h"
+#include "engine/scenarios.h"
 #include "obs/metrics.h"
 #include "spice/dc_solver.h"
 #include "spice/ekv_lanes.h"
@@ -168,6 +173,63 @@ int main() {
                         "of the fixed grid (delta " +
                             std::to_string(dt50 * 1e12) + " ps)");
         }
+    }
+
+    // --- MCSM vs transistor level ----------------------------------------
+    // The paper's premise: a cell's current-source model simulates faster
+    // than the transistor-level netlist it replaces. The default transient
+    // path (tstop 3.2 ns, dt 1 ps) on the NOR2 FO2 history scenario, MCSM
+    // ModelCell against GoldenCell, each run building its own circuit.
+    // Measured like the obs-overhead gate below: interleaved pairs, min-of-5
+    // per side, and two remeasurements before a noisy verdict may fail.
+    {
+        const engine::HistoryStimulus stim =
+            engine::nor2_history(engine::HistoryCase::kFast10, ctx.vdd());
+        const core::CsmModel& nor = ctx.nor_mcsm();
+        const core::CsmModel& inv = ctx.inv_sis();
+        spice::TranOptions topt;
+        topt.tstop = 3.2e-9;
+        topt.dt = 1e-12;
+        auto golden_ms = [&] {
+            return bench::time_reps_ms(1, [&] {
+                       engine::GoldenCell cell(
+                           ctx.lib(), "NOR2", {{"A", stim.a}, {"B", stim.b}},
+                           engine::LoadSpec{0.0, 2, "INV_X1"});
+                       (void)cell.run(topt);
+                   }).min_ms;
+        };
+        auto mcsm_ms = [&] {
+            return bench::time_reps_ms(1, [&] {
+                       core::ModelLoadSpec load;
+                       load.fanout_count = 2;
+                       load.receiver = &inv;
+                       core::ModelCell cell(
+                           nor, {{"A", stim.a}, {"B", stim.b}}, load);
+                       (void)cell.run(topt);
+                   }).min_ms;
+        };
+        (void)golden_ms();  // warm both paths
+        (void)mcsm_ms();
+        double g_ms = 0.0;
+        double m_ms = 0.0;
+        bool ok = false;
+        for (int attempt = 0; attempt < 3 && !ok; ++attempt) {
+            g_ms = 1e300;
+            m_ms = 1e300;
+            for (int r = 0; r < 5; ++r) {
+                g_ms = std::min(g_ms, golden_ms());
+                m_ms = std::min(m_ms, mcsm_ms());
+            }
+            ok = m_ms < g_ms;
+        }
+        std::printf("\n%-28s %10s %10s %9s\n", "stage", "golden", "mcsm",
+                    "speedup");
+        std::printf("transient_nor2_fo2 history  %8.2fms %8.2fms %8.2fx\n",
+                    g_ms, m_ms, g_ms / m_ms);
+        check.check(ok,
+                    "MCSM NOR2 FO2 transient beats the transistor-level "
+                    "transient of the same scenario (measured " +
+                        std::to_string(g_ms / m_ms) + "x)");
     }
 
     // --- characterization ------------------------------------------------

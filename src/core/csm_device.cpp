@@ -1,12 +1,43 @@
 #include "core/csm_device.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 #include "spice/cap_companion.h"
 #include "spice/circuit.h"
 
 namespace mcsm::core {
+
+namespace {
+
+// Every D-dimensional table must sit on Io's knots: the device evaluates
+// them all from one grid point prepared on Io's axes.
+void require_shared_axes(const CsmModel& model) {
+    const lut::NdTable& io = model.i_out;
+    auto check = [&](const lut::NdTable& t, const std::string& label) {
+        for (std::size_t d = 0; d < io.rank(); ++d)
+            if (t.axis(d).knots() != io.axis(d).knots()) {
+                std::string msg = "CsmCellDevice: table ";
+                msg += label;
+                msg += " does not share the axes of Io";
+                throw ModelError(msg);
+            }
+    };
+    for (std::size_t j = 0; j < model.internal_count(); ++j)
+        check(model.i_internal[j], "IN_" + model.internals[j]);
+    for (std::size_t p = 0; p < model.pin_count(); ++p)
+        check(model.c_miller[p], "Cm_" + model.pins[p]);
+    check(model.c_out, "Co");
+    for (std::size_t j = 0; j < model.internal_count(); ++j)
+        check(model.c_internal[j], "CN_" + model.internals[j]);
+    for (std::size_t p = 0; p < model.pin_count(); ++p)
+        for (std::size_t j = 0; j < model.internal_count(); ++j)
+            check(model.c_miller_internal[p * model.internal_count() + j],
+                  "Cm_" + model.pins[p] + "_" + model.internals[j]);
+}
+
+}  // namespace
 
 CsmCellDevice::CsmCellDevice(std::string name, const CsmModel& model,
                              std::vector<int> pin_nodes,
@@ -19,6 +50,8 @@ CsmCellDevice::CsmCellDevice(std::string name, const CsmModel& model,
       out_(out_node),
       input_caps_(stamp_input_caps) {
     model.check_consistent();
+    require_shared_axes(model);
+    axes_ = lut::TableView::of(model.i_out);
     require(pins_.size() == model.pin_count(),
             "CsmCellDevice: pin node count mismatch");
     require(internals_.size() == model.internal_count(),
@@ -66,7 +99,10 @@ void CsmCellDevice::stamp(spice::Stamper& st,
     std::vector<double>& v = v_scratch_;
     gather(*ctx.x, v);
     std::vector<double>& grad = grad_scratch_;
-    std::fill(grad.begin(), grad.end(), 0.0);
+    // One point at the iterate serves every current table. It lives on the
+    // stack: scratch pages shared by all devices a thread stamps.
+    lut::GridPoint point;
+    point.prepare(axes_, v, /*with_gradient=*/true);
 
     // Circuit node corresponding to each model axis.
     auto axis_node = [&](std::size_t d) -> int {
@@ -78,7 +114,7 @@ void CsmCellDevice::stamp(spice::Stamper& st,
     // Nonlinear current source I(V) leaving `at`; Jacobian from the exact
     // gradient of the multilinear interpolant.
     auto stamp_source = [&](const lut::NdTable& table, int at) {
-        const double i = table.at_with_gradient(v, grad);
+        const double i = point.dot_grad(table.values(), grad);
         double affine = i;
         for (std::size_t d = 0; d < dim; ++d) {
             st.add_matrix(at, axis_node(d), grad[d]);
@@ -131,12 +167,18 @@ const CsmCellDevice::StepCaps& CsmCellDevice::step_caps(
     // device treatment).
     std::vector<double>& vp = vp_scratch_;
     gather(*ctx.x_prev, vp);
-    for (std::size_t p = 0; p < n_pins; ++p) caps.cm[p] = model_->cm(p, vp);
-    caps.co = model_->co(vp);
-    for (std::size_t j = 0; j < n_int; ++j) caps.cn[j] = model_->cn(j, vp);
+    lut::GridPoint point;
+    point.prepare(axes_, vp, /*with_gradient=*/false);
+    auto cap = [&](const lut::NdTable& t) { return point.dot(t.values()); };
+    for (std::size_t p = 0; p < n_pins; ++p)
+        caps.cm[p] = cap(model_->c_miller[p]);
+    caps.co = cap(model_->c_out);
+    for (std::size_t j = 0; j < n_int; ++j)
+        caps.cn[j] = cap(model_->c_internal[j]);
     for (std::size_t p = 0; p < n_pins; ++p)
         for (std::size_t j = 0; j < n_int; ++j)
-            caps.cmn[p * n_int + j] = model_->cmn(p, j, vp);
+            caps.cmn[p * n_int + j] =
+                cap(model_->c_miller_internal[p * n_int + j]);
     if (input_caps_) {
         // The 1-D c_in tables are extracted with the output tied, so they
         // already contain the pin->out Miller part; the grounded component

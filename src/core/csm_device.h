@@ -7,6 +7,16 @@
 // implicit counterpart of the paper's explicit updates (eqs. (4), (5)); the
 // explicit integrator lives in core/explicit_sim.h and an ablation bench
 // compares the two.
+//
+// Evaluation path: every D-dimensional table of a model shares one set of
+// axes (the device checks this on construction), so a CsmCellDevice
+// locates its terminal voltages once and reads all of its tables from one
+// lut::GridPoint. Per Newton iteration, stamp() prepares the point at the
+// iterate and takes one dot_grad per current table (Io, IN_j); per time
+// step, the capacitance tables (Cm_p, Co, CN_j, Cm_p_j) are one dot each
+// at the previous accepted solution. The kernel is the one TableView and
+// NdTable use, in the same floating-point order, so the device matches
+// per-table NdTable lookups bit for bit.
 #ifndef MCSM_CORE_CSM_DEVICE_H
 #define MCSM_CORE_CSM_DEVICE_H
 
@@ -15,6 +25,7 @@
 #include <vector>
 
 #include "core/model.h"
+#include "lut/table_view.h"
 #include "spice/device.h"
 
 namespace mcsm::core {
@@ -25,7 +36,8 @@ public:
     // model.internals order (pass freshly created circuit nodes - the device
     // owns their dynamics). When `stamp_input_caps` is set, the model's 1-D
     // receiver caps load the input nets (needed when the inputs are driven
-    // by other cells rather than ideal sources).
+    // by other cells rather than ideal sources). Throws ModelError naming
+    // the first D-dimensional table whose knots differ from Io's.
     CsmCellDevice(std::string name, const CsmModel& model,
                   std::vector<int> pin_nodes, std::vector<int> internal_nodes,
                   int out_node, bool stamp_input_caps = false);
@@ -59,6 +71,7 @@ private:
     const StepCaps& step_caps(const spice::SimContext& ctx) const;
 
     const CsmModel* model_;  // non-owning; outlives the circuit
+    lut::TableView axes_;    // Io's axes, shared by every D-dim table
     std::vector<int> pins_;
     std::vector<int> internals_;
     int out_;

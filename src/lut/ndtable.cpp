@@ -75,9 +75,10 @@ double NdTable::at(std::span<const double> x) const {
 
 double NdTable::at_with_gradient(std::span<const double> x,
                                  std::span<double> grad) const {
-    // One multilinear kernel serves owned tables and borrowed storage
-    // alike: delegate to TableView so NdTable::at and a view over an
-    // mmap'd copy of the same data are bitwise-identical by construction.
+    // One multilinear kernel serves owned tables, borrowed storage and
+    // shared grid points alike: delegate to TableView so NdTable::at and a
+    // view over an mmap'd copy of the same data are bitwise-identical by
+    // construction.
     return TableView::of(*this).at_with_gradient(x, grad);
 }
 

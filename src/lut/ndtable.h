@@ -1,6 +1,13 @@
 // N-dimensional lookup table on non-uniform axes with multilinear
 // interpolation and analytic gradient. This is the storage format the paper
 // prescribes for the MCSM current sources and capacitances (4-D tables).
+//
+// Lookups run through the one multilinear kernel in lut/table_view.h: at()
+// views the table without re-checking its knots (Axis already guarantees
+// >= 2 strictly increasing ones, and the values are sized to the grid),
+// prepares a GridPoint and takes one dot product. Callers that evaluate
+// several tables on the same axes at the same point (a CSM cell's current
+// and capacitance tables) prepare the GridPoint themselves and share it.
 #ifndef MCSM_LUT_NDTABLE_H
 #define MCSM_LUT_NDTABLE_H
 

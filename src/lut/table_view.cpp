@@ -1,6 +1,7 @@
 #include "lut/table_view.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/error.h"
 #include "lut/ndtable.h"
@@ -29,95 +30,181 @@ Locate locate(std::span<const double> knots, double x) {
     return {i, u};
 }
 
+// Calls f(std::integral_constant<std::size_t, rank>) for rank 1..8.
+template <typename F>
+decltype(auto) with_rank(std::size_t rank, F&& f) {
+    using std::integral_constant;
+    switch (rank) {
+        case 1: return f(integral_constant<std::size_t, 1>{});
+        case 2: return f(integral_constant<std::size_t, 2>{});
+        case 3: return f(integral_constant<std::size_t, 3>{});
+        case 4: return f(integral_constant<std::size_t, 4>{});
+        case 5: return f(integral_constant<std::size_t, 5>{});
+        case 6: return f(integral_constant<std::size_t, 6>{});
+        case 7: return f(integral_constant<std::size_t, 7>{});
+        case 8: return f(integral_constant<std::size_t, 8>{});
+        default: break;
+    }
+    throw ModelError("table lookup: rank must be 1..8");
+}
+
 }  // namespace
+
+std::size_t TableView::set_axes(std::span<const AxisView> axes) {
+    std::size_t total = 1;
+    // Last axis is the fastest-varying dimension (NdTable layout).
+    for (std::size_t d = rank_; d-- > 0;) {
+        axes_[d] = axes[d];
+        strides_[d] = total;
+        total *= axes[d].knots.size();
+    }
+    return total;
+}
 
 TableView::TableView(std::span<const AxisView> axes,
                      std::span<const double> values, std::string_view name)
     : name_(name), rank_(axes.size()), values_(values) {
     require(rank_ >= 1, "TableView: need at least one axis");
     require(rank_ <= kMaxRank, "TableView: rank above 8 is unsupported");
-    std::size_t total = 1;
-    // Last axis is the fastest-varying dimension (NdTable layout).
-    for (std::size_t d = rank_; d-- > 0;) {
-        const AxisView& ax = axes[d];
+    for (const AxisView& ax : axes) {
         require(ax.knots.size() >= 2,
                 "TableView: axis needs at least two knots");
         for (std::size_t i = 1; i < ax.knots.size(); ++i)
             require(ax.knots[i] > ax.knots[i - 1],
                     "TableView: axis knots must strictly increase");
-        axes_[d] = ax;
-        strides_[d] = total;
-        total *= ax.knots.size();
     }
-    require(values_.size() == total,
+    require(values_.size() == set_axes(axes),
             "TableView: value count does not match axes");
 }
 
 TableView TableView::of(const NdTable& table) {
-    std::array<AxisView, kMaxRank> axes;
     require(table.rank() >= 1 && table.rank() <= kMaxRank,
             "TableView: rank above 8 is unsupported");
+    std::array<AxisView, kMaxRank> axes;
     for (std::size_t d = 0; d < table.rank(); ++d) {
         const Axis& ax = table.axis(d);
         axes[d] = AxisView{ax.name(), ax.knots()};
     }
-    return TableView({axes.data(), table.rank()}, table.values(),
-                     table.name());
+    TableView view;
+    view.name_ = table.name();
+    view.rank_ = table.rank();
+    view.values_ = table.values();
+    view.set_axes({axes.data(), table.rank()});
+    return view;
 }
 
 double TableView::eval(std::span<const double> x,
                        std::span<double> grad) const {
-    const std::size_t rank = rank_;
-    require(x.size() == rank, "NdTable::at: coordinate rank mismatch");
     const bool want_grad = !grad.empty();
-    if (want_grad)
-        require(grad.size() == rank, "NdTable::at: gradient rank mismatch");
+    GridPoint point;
+    point.prepare(*this, x, want_grad);
+    return want_grad ? point.dot_grad(values_, grad) : point.dot(values_);
+}
+
+void GridPoint::prepare(const TableView& axes, std::span<const double> x,
+                        bool with_gradient) {
+    require(x.size() == axes.rank(),
+            "table lookup: coordinate rank mismatch");
+    rank_ = axes.rank();
+    value_count_ = axes.values().size();
+    has_gradient_ = with_gradient;
+    with_rank(rank_, [&](auto r) {
+        prepare_rank<decltype(r)::value>(axes, x.data(), with_gradient);
+    });
+}
+
+template <std::size_t R>
+void GridPoint::prepare_rank(const TableView& axes, const double* x,
+                             bool with_gradient) {
+    constexpr std::size_t kCorners = std::size_t{1} << R;
 
     // Locate the cell and the normalized position within it per axis.
+    double u[R];
     std::size_t base = 0;
-    double u[kMaxRank];
-    double inv_h[kMaxRank];
-    std::size_t stride[kMaxRank];
-    for (std::size_t d = 0; d < rank; ++d) {
-        const std::span<const double> knots = axes_[d].knots;
+    for (std::size_t d = 0; d < R; ++d) {
+        const std::span<const double> knots = axes.axes_[d].knots;
         const Locate loc = locate(knots, x[d]);
-        base += loc.index * strides_[d];
+        base += loc.index * axes.strides_[d];
         u[d] = loc.u;
-        inv_h[d] = 1.0 / (knots[loc.index + 1] - knots[loc.index]);
-        stride[d] = strides_[d];
+        inv_h_[d] = 1.0 / (knots[loc.index + 1] - knots[loc.index]);
     }
+    base_ = base;
 
-    // Accumulate over the 2^rank cell corners.
-    const std::size_t corners = static_cast<std::size_t>(1) << rank;
-    double value = 0.0;
-    if (want_grad)
-        for (std::size_t d = 0; d < rank; ++d) grad[d] = 0.0;
-    for (std::size_t corner = 0; corner < corners; ++corner) {
-        std::size_t flat = base;
-        double weight = 1.0;
-        for (std::size_t d = 0; d < rank; ++d) {
-            const bool high = (corner >> d) & 1u;
-            if (high) flat += stride[d];
-            weight *= high ? u[d] : (1.0 - u[d]);
-        }
-        const double v = values_[flat];
-        value += weight * v;
-        if (want_grad) {
-            for (std::size_t d = 0; d < rank; ++d) {
-                // d(weight)/du_d: replace this axis factor by +/-1.
-                double w = 1.0;
-                for (std::size_t e = 0; e < rank; ++e) {
-                    if (e == d) continue;
-                    const bool high = (corner >> e) & 1u;
-                    w *= high ? u[e] : (1.0 - u[e]);
+    // Corner c takes the high knot on axis d when bit d of c is set. The
+    // weights grow one axis at a time in axis order, so corner c carries
+    // ((1 * f_0) * f_1) * ... * f_{R-1} with f_d = u_d (high) or 1 - u_d
+    // (low): the product order of a per-corner loop over the axes.
+    offset_[0] = 0;
+    weight_[0] = 1.0;
+    for (std::size_t d = 0; d < R; ++d) {
+        const std::size_t half = std::size_t{1} << d;
+        if (with_gradient) {
+            // d(weight)/du_d replaces this axis' factor by +-1: continue the
+            // prefix products over axes < d (weight_[0, half) right now)
+            // with the axes above d, indexed by the corner without bit d.
+            double g[kCorners / 2];
+            std::copy(weight_.begin(), weight_.begin() + half, g);
+            for (std::size_t e = d + 1, n = half; e < R; ++e, n *= 2)
+                for (std::size_t c = 0; c < n; ++c) {
+                    g[c + n] = g[c] * u[e];
+                    g[c] = g[c] * (1.0 - u[e]);
                 }
-                const bool high_d = (corner >> d) & 1u;
-                grad[d] += (high_d ? 1.0 : -1.0) * w * v;
+            double* row = grad_weight_.data() + d * kCorners;
+            for (std::size_t c = 0; c < kCorners; ++c) {
+                const double w = g[(c & (half - 1)) | ((c >> (d + 1)) << d)];
+                row[c] = (c & half) ? w : -w;
             }
         }
+        for (std::size_t c = 0; c < half; ++c) {
+            offset_[c + half] = offset_[c] + axes.strides_[d];
+            weight_[c + half] = weight_[c] * u[d];
+            weight_[c] = weight_[c] * (1.0 - u[d]);
+        }
     }
-    if (want_grad)
-        for (std::size_t d = 0; d < rank; ++d) grad[d] *= inv_h[d];
+}
+
+double GridPoint::dot(std::span<const double> values) const {
+    require(values.size() == value_count_,
+            "GridPoint: table does not match the prepared axes");
+    return with_rank(rank_, [&](auto r) {
+        return dot_rank<decltype(r)::value>(values.data() + base_);
+    });
+}
+
+double GridPoint::dot_grad(std::span<const double> values,
+                           std::span<double> grad) const {
+    require(values.size() == value_count_,
+            "GridPoint: table does not match the prepared axes");
+    require(has_gradient_, "GridPoint: prepared without the gradient");
+    require(grad.size() == rank_, "table lookup: gradient rank mismatch");
+    return with_rank(rank_, [&](auto r) {
+        return dot_grad_rank<decltype(r)::value>(values.data() + base_,
+                                                 grad.data());
+    });
+}
+
+template <std::size_t R>
+double GridPoint::dot_rank(const double* v) const {
+    constexpr std::size_t kCorners = std::size_t{1} << R;
+    double value = 0.0;
+    for (std::size_t c = 0; c < kCorners; ++c)
+        value += weight_[c] * v[offset_[c]];
+    return value;
+}
+
+template <std::size_t R>
+double GridPoint::dot_grad_rank(const double* v, double* grad) const {
+    constexpr std::size_t kCorners = std::size_t{1} << R;
+    double value = 0.0;
+    double g[R];
+    for (std::size_t d = 0; d < R; ++d) g[d] = 0.0;
+    for (std::size_t c = 0; c < kCorners; ++c) {
+        const double vc = v[offset_[c]];
+        value += weight_[c] * vc;
+        for (std::size_t d = 0; d < R; ++d)
+            g[d] += grad_weight_[d * kCorners + c] * vc;
+    }
+    for (std::size_t d = 0; d < R; ++d) grad[d] = g[d] * inv_h_[d];
     return value;
 }
 

@@ -5,6 +5,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
+#include <ios>
 #include <sstream>
 
 #include "core/characterizer.h"
@@ -13,6 +15,7 @@
 #include "core/model_io.h"
 #include "core/model_scenarios.h"
 #include "core/selective.h"
+#include "engine/crosstalk.h"
 #include "engine/scenarios.h"
 #include "tech/tech130.h"
 #include "wave/metrics.h"
@@ -267,6 +270,110 @@ TEST(CsmModelIo, RoundTripPreservesTables) {
     const std::array<double, 4> q{0.3, 0.45, 0.9, 0.2};
     EXPECT_DOUBLE_EQ(copy.io(q), s.nor_mcsm.io(q));
     EXPECT_DOUBLE_EQ(copy.cn(0, q), s.nor_mcsm.cn(0, q));
+}
+
+// --- pinned device evaluation path ----------------------------------------
+
+// Newton-iteration count, record length and hexfloat samples of one MCSM
+// transient through CsmCellDevice. The values were captured from a build
+// that evaluated every table with its own multilinear lookup; the device
+// now evaluates a cell's tables from one shared grid point in the same
+// floating-point order, so every bit must hold.
+constexpr std::size_t kPinnedSamples = 12;
+
+struct PinnedTransient {
+    long long newton_iters;
+    std::size_t samples;
+    std::array<double, kPinnedSamples> out;
+    std::array<double, kPinnedSamples> node;  // internal node / victim net
+};
+
+void expect_pinned(const spice::TranResult& r, int out_node, int node,
+                   const PinnedTransient& want, const char* what) {
+    EXPECT_EQ(r.stats().newton_iters, want.newton_iters) << what;
+    const wave::Waveform out = r.node_waveform(out_node);
+    const wave::Waveform nv = r.node_waveform(node);
+    ASSERT_EQ(out.size(), want.samples) << what;
+    for (std::size_t k = 0; k < kPinnedSamples; ++k) {
+        // Evenly spread over the record, last sample included.
+        const std::size_t i = (k + 1) * (out.size() - 1) / kPinnedSamples;
+        EXPECT_EQ(out.value(i), want.out[k])
+            << what << " out[" << i << "] = " << std::hexfloat
+            << out.value(i);
+        EXPECT_EQ(nv.value(i), want.node[k])
+            << what << " node[" << i << "] = " << std::hexfloat
+            << nv.value(i);
+    }
+}
+
+constexpr PinnedTransient kPinnedHistory = {
+    4718, 3201,
+    {0x1.1a400a007a35p-21, 0x1.1a400a00ba19p-21, 0x1.1a400a00ba19p-21,
+     0x1.4d4323c4f047bp-8, 0x1.256026c95f1d4p-15, 0x1.15fe8837a73b2p-15,
+     0x1.0771274a66b94p-15, 0x1.263afc93d973ep+0, 0x1.33332c8b7269ap+0,
+     0x1.33332d687777dp+0, 0x1.33332d6877847p+0, 0x1.33332d6877845p+0},
+    {0x1.33332e1c3c1p+0, 0x1.33332e1c3c1p+0, 0x1.33332e1c3c1p+0,
+     0x1.415de7a511bdfp+0, 0x1.44cb55149dbdfp+0, 0x1.43dd61f3d059ap+0,
+     0x1.42fc428c7ef2fp+0, 0x1.2b581635da953p+0, 0x1.33332fc5919a3p+0,
+     0x1.3333304b8829cp+0, 0x1.3333304b88316p+0, 0x1.3333304b88316p+0},
+};
+
+constexpr PinnedTransient kPinnedSkew = {
+    3686, 3201,
+    {0x1.fcaff18dd412cp-24, 0x1.fcaff189a5af1p-24, 0x1.fcaff18b8169ap-24,
+     0x1.75fd3ed9bf4cdp-6, 0x1.3332cb6e47a86p+0, 0x1.33332d6870f5fp+0,
+     0x1.33332d687784dp+0, 0x1.33332d6877856p+0, 0x1.33332d6877856p+0,
+     0x1.33332d6877856p+0, 0x1.33332d6877856p+0, 0x1.33332d6877856p+0},
+    {0x1.170e8ea5f525ap+0, 0x1.170e8ea5f525ap+0, 0x1.170e8ea5f525ap+0,
+     0x1.af5fd94426617p-1, 0x1.3332f4e8df6dfp+0, 0x1.3333304b8437ep+0,
+     0x1.3333304b8831dp+0, 0x1.3333304b8831fp+0, 0x1.3333304b8831fp+0,
+     0x1.3333304b8831fp+0, 0x1.3333304b8831fp+0, 0x1.3333304b8831fp+0},
+};
+
+constexpr PinnedTransient kPinnedCrosstalk = {
+    5491, 4001,
+    {0x1.33332d68270aep+0, 0x1.33332d68270b9p+0, 0x1.33332d68270cp+0,
+     0x1.33332d68270cp+0, 0x1.33332d68270cp+0, 0x1.33332d68270bap+0,
+     0x1.3452275933117p+0, 0x1.be68d26608137p-11, 0x1.461f3b3e43463p-16,
+     0x1.0fb8c10e1463bp-20, 0x1.210bd1cdf1f6cp-21, 0x1.1a7be7a5558ebp-21},
+    {0x1.10be2832abb9dp-22, 0x1.10be284aeb585p-22, 0x1.10be284fd0ed3p-22,
+     0x1.10be284fd0ed3p-22, 0x1.10be284fd0ed3p-22, 0x1.10be2884a02a6p-22,
+     0x1.349fc8a79cb72p-4, 0x1.253a06c54e287p+0, 0x1.32d7f53778679p+0,
+     0x1.3330d615968c7p+0, 0x1.333320dbbec55p+0, 0x1.33332ffec43d8p+0},
+};
+
+TEST(CsmDevicePath, PinnedNor2Fo2Transients) {
+    const auto& s = ModelSuite::get();
+    ModelLoadSpec load;
+    load.fanout_count = 2;
+    load.receiver = &s.inv_sis;
+    spice::TranOptions topt;
+    topt.tstop = 3.2e-9;
+    topt.dt = 1e-12;
+
+    const engine::HistoryStimulus hist =
+        engine::nor2_history(HistoryCase::kFast10, s.tech.vdd);
+    ModelCell history(s.nor_mcsm, {{"A", hist.a}, {"B", hist.b}}, load);
+    expect_pinned(history.run(topt), history.out_node(),
+                  history.internal_node(0), kPinnedHistory, "history");
+
+    const engine::MisStimulus mis =
+        engine::nor2_simultaneous_fall(s.tech.vdd, 1.0e-9, 80e-12, 30e-12);
+    ModelCell skew(s.nor_mcsm, {{"A", mis.a}, {"B", mis.b}}, load);
+    expect_pinned(skew.run(topt), skew.out_node(), skew.internal_node(0),
+                  kPinnedSkew, "skew");
+}
+
+TEST(CsmDevicePath, PinnedCrosstalk) {
+    // Rank-2 SIS drivers plus a NOR2 whose input caps load the nets.
+    const auto& s = ModelSuite::get();
+    ModelCrosstalk bench(s.inv_sis, s.nor_mcsm, engine::CrosstalkConfig{},
+                         2.2e-9);
+    spice::TranOptions topt;
+    topt.tstop = 4.0e-9;
+    topt.dt = 1e-12;
+    expect_pinned(bench.run(topt), bench.nor_out(), bench.victim_net(),
+                  kPinnedCrosstalk, "crosstalk");
 }
 
 }  // namespace

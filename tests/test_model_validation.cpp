@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/characterizer.h"
 #include "core/csm_device.h"
@@ -151,6 +153,29 @@ TEST(DeviceValidation, RejectsWrongInternalNodeCount) {
     EXPECT_THROW(CsmCellDevice("X", s.nor, {c.node("a"), c.node("b")}, {},
                                c.node("out")),
                  ModelError);
+}
+
+TEST(DeviceValidation, RejectsTablesOffTheCurrentAxes) {
+    // The device reads every D-dimensional table from one grid point
+    // located on Io's axes, so a Co table on other knots must be refused
+    // (with the table named), not read at the wrong offsets.
+    const Shared& s = Shared::get();
+    CsmModel m = s.nor;
+    std::vector<lut::Axis> axes = m.i_out.axes();
+    std::vector<double> knots = axes.back().knots();
+    knots[1] += 1e-3;  // same size, shifted interior knot
+    axes.back() = lut::Axis(axes.back().name(), knots);
+    m.c_out = lut::NdTable(axes, "Co");
+    ASSERT_NO_THROW(m.check_consistent());
+    spice::Circuit c;
+    try {
+        CsmCellDevice("X", m, {c.node("a"), c.node("b")}, {c.node("int")},
+                      c.node("out"));
+        FAIL() << "expected ModelError";
+    } catch (const ModelError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("table Co "), std::string::npos) << what;
+    }
 }
 
 TEST(DeviceValidation, LutCapRejectsNon1DTable) {

@@ -22,6 +22,8 @@
 #include "common/parallel.h"
 #include "common/sparse_lu.h"
 #include "common/sparse_matrix.h"
+#include "core/characterizer.h"
+#include "core/model_scenarios.h"
 #include "engine/scenarios.h"
 #include "spice/circuit.h"
 #include "spice/dc_solver.h"
@@ -395,15 +397,11 @@ TEST(GoldenWaveforms, SparseWorkspaceWithinRoundoff) {
 
 // --- zero allocations in the Newton assembly+solve cycle -----------------
 
-TEST(SolverWorkspace, NewtonCycleIsAllocationFreeAfterPrepare) {
-    const tech::Technology t = tech::make_tech130();
-    const cells::CellLibrary lib(t);
-    const engine::HistoryStimulus stim =
-        engine::nor2_history(engine::HistoryCase::kFast10, t.vdd);
-    engine::GoldenCell cell(lib, "NOR2", {{"A", stim.a}, {"B", stim.b}},
-                            engine::LoadSpec{5e-15, 2, "INV_X1"});
-    Circuit& c = cell.circuit();
-
+// Runs the Newton assembly+solve cycle on `c` (DC and transient contexts,
+// batched and manual assembly, blocked solves) and expects no heap
+// allocation once everything is warm. Bumping step_id every cycle makes the
+// devices refresh their per-step capacitance caches too.
+void expect_newton_cycle_allocation_free(Circuit& c, const char* what) {
     // Warm everything: workspace build, first factorization, operating
     // point, and the source-waveform evaluation paths.
     const spice::DcResult op = spice::solve_dc(c);
@@ -469,7 +467,36 @@ TEST(SolverWorkspace, NewtonCycleIsAllocationFreeAfterPrepare) {
     }
     const std::size_t after = AllocCounter::count();
     EXPECT_EQ(after - before, 0u)
-        << "Newton assembly+solve allocated on the steady-state path";
+        << what << ": Newton assembly+solve allocated on the steady-state "
+        << "path";
+}
+
+TEST(SolverWorkspace, NewtonCycleIsAllocationFreeAfterPrepare) {
+    const tech::Technology t = tech::make_tech130();
+    const cells::CellLibrary lib(t);
+    const engine::HistoryStimulus stim =
+        engine::nor2_history(engine::HistoryCase::kFast10, t.vdd);
+    engine::GoldenCell cell(lib, "NOR2", {{"A", stim.a}, {"B", stim.b}},
+                            engine::LoadSpec{5e-15, 2, "INV_X1"});
+    expect_newton_cycle_allocation_free(cell.circuit(), "GoldenCell");
+
+    // The model twin: an MCSM NOR2 (CsmCellDevice, one shared grid point
+    // for its current and capacitance tables) driving FO2 receiver caps
+    // (LutCapDevice).
+    const core::Characterizer chr(lib);
+    core::CharOptions opt;
+    opt.transient_caps = false;
+    opt.grid_points = 5;
+    const core::CsmModel inv =
+        chr.characterize("INV_X1", core::ModelKind::kSis, {"A"}, opt);
+    const core::CsmModel nor =
+        chr.characterize("NOR2", core::ModelKind::kMcsm, {"A", "B"}, opt);
+    core::ModelLoadSpec load;
+    load.cap = 5e-15;
+    load.fanout_count = 2;
+    load.receiver = &inv;
+    core::ModelCell model(nor, {{"A", stim.a}, {"B", stim.b}}, load);
+    expect_newton_cycle_allocation_free(model.circuit(), "ModelCell");
 }
 
 // --- parallel sweep determinism ------------------------------------------
