@@ -7,7 +7,8 @@
 //  * full transient wall-clock on the same circuits, fixed grid vs the
 //    adaptive fast path,
 //  * the MCSM NOR2 FO2 transient against the transistor-level transient of
-//    the same scenario (the paper's premise: the model must be faster),
+//    the same scenario (the paper's premise: the model must be faster; the
+//    gate asks for 2x),
 //  * characterization wall-clock, serial vs parallel,
 //  * heap-allocation count of the steady-state Newton cycle (must be 0).
 //
@@ -179,7 +180,8 @@ int main() {
     // The paper's premise: a cell's current-source model simulates faster
     // than the transistor-level netlist it replaces. The default transient
     // path (tstop 3.2 ns, dt 1 ps) on the NOR2 FO2 history scenario, MCSM
-    // ModelCell against GoldenCell, each run building its own circuit.
+    // ModelCell against GoldenCell, each run building its own circuit. The
+    // gate asks for 2x (10 of 10 runs on a 4-core host measured >= 2.5x).
     // Measured like the obs-overhead gate below: interleaved pairs, min-of-5
     // per side, and two remeasurements before a noisy verdict may fail.
     {
@@ -190,12 +192,15 @@ int main() {
         spice::TranOptions topt;
         topt.tstop = 3.2e-9;
         topt.dt = 1e-12;
+        // Newton iterations per run (deterministic, so the last run's).
+        long long g_newton = 0;
+        long long m_newton = 0;
         auto golden_ms = [&] {
             return bench::time_reps_ms(1, [&] {
                        engine::GoldenCell cell(
                            ctx.lib(), "NOR2", {{"A", stim.a}, {"B", stim.b}},
                            engine::LoadSpec{0.0, 2, "INV_X1"});
-                       (void)cell.run(topt);
+                       g_newton = cell.run(topt).stats().newton_iters;
                    }).min_ms;
         };
         auto mcsm_ms = [&] {
@@ -205,7 +210,7 @@ int main() {
                        load.receiver = &inv;
                        core::ModelCell cell(
                            nor, {{"A", stim.a}, {"B", stim.b}}, load);
-                       (void)cell.run(topt);
+                       m_newton = cell.run(topt).stats().newton_iters;
                    }).min_ms;
         };
         (void)golden_ms();  // warm both paths
@@ -220,15 +225,25 @@ int main() {
                 g_ms = std::min(g_ms, golden_ms());
                 m_ms = std::min(m_ms, mcsm_ms());
             }
-            ok = m_ms < g_ms;
+            ok = 2.0 * m_ms < g_ms;
         }
         std::printf("\n%-28s %10s %10s %9s\n", "stage", "golden", "mcsm",
                     "speedup");
         std::printf("transient_nor2_fo2 history  %8.2fms %8.2fms %8.2fx\n",
                     g_ms, m_ms, g_ms / m_ms);
+        // Per Newton iteration: the whole run's wall-clock over its linear
+        // solves, so step control and recording are spread over them too.
+        std::printf("  us per newton iteration   %8.3fus %8.3fus %8.2fx"
+                    "  (%lld vs %lld iterations)\n",
+                    1e3 * g_ms / static_cast<double>(g_newton),
+                    1e3 * m_ms / static_cast<double>(m_newton),
+                    (g_ms / static_cast<double>(g_newton)) /
+                        (m_ms / static_cast<double>(m_newton)),
+                    g_newton, m_newton);
         check.check(ok,
-                    "MCSM NOR2 FO2 transient beats the transistor-level "
-                    "transient of the same scenario (measured " +
+                    "MCSM NOR2 FO2 transient at least 2x faster than the "
+                    "transistor-level transient of the same scenario "
+                    "(measured " +
                         std::to_string(g_ms / m_ms) + "x)");
     }
 

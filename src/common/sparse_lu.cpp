@@ -22,21 +22,11 @@ constexpr double kRefactorStability = 1e-10;
 }  // namespace
 
 bool SparseLu::same_pattern(const SparseMatrix& a) const {
-    if (n_ != a.size() || pattern_nnz_ != a.nnz()) return false;
-    // Exact pattern identity: a same-size/same-nnz matrix with different
-    // coordinates must not take the refactor path (its entries would land
-    // outside the frozen fill and be silently dropped). The compare is a
-    // contiguous int scan, noise next to the numeric elimination.
-    std::size_t s = 0;
-    for (std::size_t r = 0; r < n_; ++r) {
-        const auto cols = a.row_cols(r);
-        if (static_cast<int>(cols.size()) !=
-            a_row_ptr_[r + 1] - a_row_ptr_[r])
-            return false;
-        for (int c : cols)
-            if (a_cols_[s++] != c) return false;
-    }
-    return true;
+    // A same-size/same-nnz matrix with different coordinates must not take
+    // the refactor path (its entries would land outside the frozen fill and
+    // be silently dropped); the pattern identity rules that out without
+    // scanning the columns.
+    return n_ == a.size() && pattern_id_ == a.pattern_id();
 }
 
 void SparseLu::factor(const SparseMatrix& a, double pivot_floor) {
@@ -147,16 +137,7 @@ void SparseLu::full_factor(const SparseMatrix& a, double pivot_floor) {
 
     // --- freeze the workspace ------------------------------------------
     n_ = n;
-    pattern_nnz_ = a.nnz();
-    a_row_ptr_.assign(n + 1, 0);
-    a_cols_.clear();
-    a_cols_.reserve(a.nnz());
-    for (std::size_t r = 0; r < n; ++r) {
-        const auto cols = a.row_cols(r);
-        a_cols_.insert(a_cols_.end(), cols.begin(), cols.end());
-        a_row_ptr_[r + 1] =
-            a_row_ptr_[r] + static_cast<int>(cols.size());
-    }
+    pattern_id_ = a.pattern_id();
     perm_ = std::move(perm);
     lu_row_ptr_.assign(n + 1, 0);
     std::size_t total = 0;

@@ -5,7 +5,9 @@
 // computes the symbolic fill pattern of L+U for that order. Subsequent
 // factorizations of a matrix with the same pattern ("refactor") redo only
 // the numeric elimination over the precomputed fill slots in the recorded
-// pivot order - no searching, no allocation. A per-row stability check
+// pivot order - no searching, no allocation. "Same pattern" is one compare
+// of SparseMatrix::pattern_id() (the analyzed matrix or a copy of it), not
+// a scan of the columns on every factor. A per-row stability check
 // falls back to a fresh full factorization when the frozen pivot order goes
 // bad (device conductances can change by many orders of magnitude across
 // Newton iterations), so refactoring never trades away robustness.
@@ -13,6 +15,7 @@
 #define MCSM_COMMON_SPARSE_LU_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/sparse_matrix.h"
@@ -54,13 +57,12 @@ private:
     // Numeric elimination over the frozen pattern; allocation-free. Returns
     // false when a pivot is absolutely or relatively too small.
     bool refactor(const SparseMatrix& a, double pivot_floor);
-    // True when `a` has exactly the analyzed sparsity pattern.
+    // True when `a` has the analyzed sparsity pattern (same
+    // SparseMatrix::pattern_id()).
     bool same_pattern(const SparseMatrix& a) const;
 
     std::size_t n_ = 0;
-    std::size_t pattern_nnz_ = 0;       // nnz of the analyzed input matrix
-    std::vector<int> a_row_ptr_;        // analyzed input pattern (identity
-    std::vector<int> a_cols_;           // check for safe refactor reuse)
+    std::uint64_t pattern_id_ = 0;      // pattern of the analyzed matrix
     std::vector<int> perm_;             // perm_[i]: input row eliminated i-th
     std::vector<int> lu_row_ptr_;       // fill pattern of L+U, row-major
     std::vector<int> lu_cols_;          // sorted; cols < i are L, >= i are U

@@ -1,6 +1,7 @@
 #include "common/sparse_matrix.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/error.h"
@@ -9,6 +10,8 @@ namespace mcsm {
 
 void SparseMatrix::build(std::size_t n,
                          std::vector<std::pair<int, int>> entries) {
+    static std::atomic<std::uint64_t> next_pattern_id{1};
+    pattern_id_ = next_pattern_id.fetch_add(1, std::memory_order_relaxed);
     n_ = n;
     for (std::size_t i = 0; i < n; ++i)
         entries.emplace_back(static_cast<int>(i), static_cast<int>(i));

@@ -18,11 +18,19 @@ public:
 
     // Builds an n x n pattern from (row, col) coordinates. Duplicates are
     // merged; every diagonal slot is added so LU pivots always have storage.
+    // Assigns a fresh pattern_id().
     void build(std::size_t n, std::vector<std::pair<int, int>> entries);
 
     std::size_t size() const { return n_; }
     std::size_t nnz() const { return cols_.size(); }
     bool empty() const { return n_ == 0; }
+
+    // Identity of the sparsity pattern: unique per build() in the process
+    // (0 before the first one) and kept by copies, which share the
+    // pattern. Nothing but build() changes a pattern, so equal ids mean the
+    // same (row, col) -> slot layout: SparseLu reuses its symbolic analysis
+    // and devices reuse resolved slots on that test alone.
+    std::uint64_t pattern_id() const { return pattern_id_; }
 
     // Zeroes every stored value without touching the pattern.
     void set_zero();
@@ -102,6 +110,7 @@ private:
     }
 
     std::size_t n_ = 0;
+    std::uint64_t pattern_id_ = 0;
     std::vector<int> row_ptr_;  // n_ + 1 offsets into cols_/vals_
     std::vector<int> cols_;     // sorted within each row
     std::vector<double> vals_;

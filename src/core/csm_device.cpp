@@ -39,6 +39,58 @@ void require_shared_axes(const CsmModel& model) {
 
 }  // namespace
 
+void StampTerms::add_matrix(int row_node, int col_node) {
+    row_.push_back(row_node);
+    col_.push_back(col_node);
+    slot_.push_back(-1);
+}
+
+void StampTerms::add_rhs(int node) {
+    rhs_node_.push_back(node);
+    rhs_row_.push_back(-1);
+}
+
+void StampTerms::add_cap(int a, int b) {
+    add_matrix(a, a);
+    add_matrix(b, b);
+    add_matrix(a, b);
+    add_matrix(b, a);
+    add_rhs(a);
+    add_rhs(b);
+}
+
+void StampTerms::resolve(const SparseMatrix& pattern) {
+    // Unknown-space index of a node (ground is eliminated), as in
+    // Stamper::unknown_of_node.
+    const auto unknown = [](int node) { return node - 1; };
+    for (std::size_t k = 0; k < row_.size(); ++k) {
+        slot_[k] = -1;
+        if (row_[k] == spice::Circuit::kGround ||
+            col_[k] == spice::Circuit::kGround)
+            continue;
+        slot_[k] = pattern.slot_index(
+            static_cast<std::size_t>(unknown(row_[k])),
+            static_cast<std::size_t>(unknown(col_[k])));
+        require(slot_[k] >= 0,
+                "StampTerms: stamp destination missing from the pattern");
+    }
+    for (std::size_t k = 0; k < rhs_node_.size(); ++k)
+        rhs_row_[k] = unknown(rhs_node_[k]);
+    pattern_ = pattern.pattern_id();
+}
+
+StampTerms::Writer StampTerms::writer(spice::Stamper& st) const {
+    Writer w;
+    w.terms_ = this;
+    w.st_ = &st;
+    SparseMatrix* csr = st.csr();
+    if (csr != nullptr && pattern_ != 0 && csr->pattern_id() == pattern_) {
+        w.vals_ = csr->values().data();
+        w.rhs_ = st.rhs().data();
+    }
+    return w;
+}
+
 CsmCellDevice::CsmCellDevice(std::string name, const CsmModel& model,
                              std::vector<int> pin_nodes,
                              std::vector<int> internal_nodes, int out_node,
@@ -59,10 +111,35 @@ CsmCellDevice::CsmCellDevice(std::string name, const CsmModel& model,
     v_scratch_.resize(model.dim());
     vp_scratch_.resize(model.dim());
     grad_scratch_.resize(model.dim());
-    caps_cache_.cm.resize(model.pin_count());
-    caps_cache_.cn.resize(model.internal_count());
-    caps_cache_.cmn.resize(model.pin_count() * model.internal_count());
-    caps_cache_.ca.resize(input_caps_ ? model.pin_count() : 0);
+
+    // Capacitors in state order: pin -> out Miller per pin, Co, CN per
+    // internal node, pin -> internal Miller [p * n_int + j], and the
+    // grounded input component per pin when input caps are stamped.
+    const auto add_cap = [this](int a, int b) {
+        cap_a_.push_back(a);
+        cap_b_.push_back(b);
+    };
+    const int gnd = spice::Circuit::kGround;
+    for (int p : pins_) add_cap(p, out_);
+    add_cap(out_, gnd);
+    for (int n : internals_) add_cap(n, gnd);
+    for (int p : pins_)
+        for (int n : internals_) add_cap(p, n);
+    if (input_caps_)
+        for (int p : pins_) add_cap(p, gnd);
+    caps_.assign(cap_a_.size(), 0.0);
+    companion_.pairs.resize(cap_a_.size());
+
+    std::vector<int> axis_nodes(pins_);
+    axis_nodes.insert(axis_nodes.end(), internals_.begin(), internals_.end());
+    axis_nodes.push_back(out_);
+    std::vector<int> sources{out_};
+    sources.insert(sources.end(), internals_.begin(), internals_.end());
+    for (int at : sources)
+        for (int col : axis_nodes) terms_.add_matrix(at, col);
+    for (int at : sources) terms_.add_rhs(at);
+    for (std::size_t c = 0; c < cap_a_.size(); ++c)
+        terms_.add_cap(cap_a_[c], cap_b_[c]);
 }
 
 std::vector<int> CsmCellDevice::terminals() const {
@@ -81,6 +158,10 @@ int CsmCellDevice::state_count() const {
                             (input_caps_ ? model_->pin_count() : 0));
 }
 
+void CsmCellDevice::resolve_slots(const SparseMatrix& pattern) {
+    terms_.resolve(pattern);
+}
+
 void CsmCellDevice::gather(const std::vector<double>& x,
                            std::vector<double>& v) const {
     v.resize(model_->dim());
@@ -92,7 +173,6 @@ void CsmCellDevice::gather(const std::vector<double>& x,
 
 void CsmCellDevice::stamp(spice::Stamper& st,
                           const spice::SimContext& ctx) const {
-    const std::size_t n_pins = model_->pin_count();
     const std::size_t n_int = model_->internal_count();
     const std::size_t dim = model_->dim();
 
@@ -103,62 +183,47 @@ void CsmCellDevice::stamp(spice::Stamper& st,
     // stack: scratch pages shared by all devices a thread stamps.
     lut::GridPoint point;
     point.prepare(axes_, v, /*with_gradient=*/true);
+    const StampTerms::Writer w = terms_.writer(st);
 
-    // Circuit node corresponding to each model axis.
-    auto axis_node = [&](std::size_t d) -> int {
-        if (d < n_pins) return pins_[d];
-        if (d < n_pins + n_int) return internals_[d - n_pins];
-        return out_;
-    };
-
-    // Nonlinear current source I(V) leaving `at`; Jacobian from the exact
-    // gradient of the multilinear interpolant.
-    auto stamp_source = [&](const lut::NdTable& table, int at) {
+    // Nonlinear current source I(V) leaving its node (current source k:
+    // Io, then IN_j); Jacobian from the exact gradient of the multilinear
+    // interpolant, the rest on the RHS.
+    auto stamp_source = [&](const lut::NdTable& table, std::size_t k) {
         const double i = point.dot_grad(table.values(), grad);
         double affine = i;
         for (std::size_t d = 0; d < dim; ++d) {
-            st.add_matrix(at, axis_node(d), grad[d]);
+            w.matrix(k * dim + d, grad[d]);
             affine -= grad[d] * v[d];
         }
-        st.add_source_current(at, spice::Circuit::kGround, affine);
+        w.rhs(k, -affine);
     };
 
-    stamp_source(model_->i_out, out_);
+    stamp_source(model_->i_out, 0);
     for (std::size_t j = 0; j < n_int; ++j)
-        stamp_source(model_->i_internal[j], internals_[j]);
+        stamp_source(model_->i_internal[j], 1 + j);
 
-    if (!ctx.is_tran()) return;
+    if (!ctx.is_tran() || ctx.dt <= 0.0) return;  // caps open in DC
 
-    const StepCaps& caps = step_caps(ctx);
-    const auto base = static_cast<std::size_t>(state_base());
-    const std::vector<double>& state = *ctx.state;
-    std::size_t slot = 0;
-    for (std::size_t p = 0; p < n_pins; ++p, ++slot)
-        spice::stamp_capacitor(st, ctx, pins_[p], out_, caps.cm[p],
-                               state[base + slot]);
-    spice::stamp_capacitor(st, ctx, out_, spice::Circuit::kGround, caps.co,
-                           state[base + slot]);
-    ++slot;
-    for (std::size_t j = 0; j < n_int; ++j, ++slot)
-        spice::stamp_capacitor(st, ctx, internals_[j], spice::Circuit::kGround,
-                               caps.cn[j], state[base + slot]);
-    for (std::size_t p = 0; p < n_pins; ++p)
-        for (std::size_t j = 0; j < n_int; ++j, ++slot)
-            spice::stamp_capacitor(st, ctx, pins_[p], internals_[j],
-                                   caps.cmn[p * n_int + j],
-                                   state[base + slot]);
-    if (input_caps_) {
-        for (std::size_t p = 0; p < n_pins; ++p, ++slot)
-            spice::stamp_capacitor(st, ctx, pins_[p], spice::Circuit::kGround,
-                                   caps.ca[p], state[base + slot]);
+    if (!companion_.valid(ctx)) {
+        const std::vector<double>& caps = step_caps(ctx);
+        const auto base = static_cast<std::size_t>(state_base());
+        for (std::size_t c = 0; c < caps.size(); ++c)
+            companion_.pairs[c] = spice::capacitor_companion(
+                ctx, caps[c],
+                ctx.prev_voltage(cap_a_[c]) - ctx.prev_voltage(cap_b_[c]),
+                (*ctx.state)[base + c]);
+        companion_.set_key(ctx);
     }
+    const std::size_t k0 = (1 + n_int) * dim;
+    const std::size_t r0 = 1 + n_int;
+    for (std::size_t c = 0; c < companion_.pairs.size(); ++c)
+        w.cap(k0 + 4 * c, r0 + 2 * c, companion_.pairs[c]);
 }
 
-const CsmCellDevice::StepCaps& CsmCellDevice::step_caps(
+const std::vector<double>& CsmCellDevice::step_caps(
     const spice::SimContext& ctx) const {
-    StepCaps& caps = caps_cache_;
-    if (ctx.step_id >= 0 && ctx.step_id == caps.step_id) return caps;
-    caps.step_id = ctx.step_id;
+    if (ctx.step_id >= 0 && ctx.step_id == caps_step_id_) return caps_;
+    caps_step_id_ = ctx.step_id;
 
     const std::size_t n_pins = model_->pin_count();
     const std::size_t n_int = model_->internal_count();
@@ -169,90 +234,81 @@ const CsmCellDevice::StepCaps& CsmCellDevice::step_caps(
     gather(*ctx.x_prev, vp);
     lut::GridPoint point;
     point.prepare(axes_, vp, /*with_gradient=*/false);
-    auto cap = [&](const lut::NdTable& t) { return point.dot(t.values()); };
-    for (std::size_t p = 0; p < n_pins; ++p)
-        caps.cm[p] = cap(model_->c_miller[p]);
-    caps.co = cap(model_->c_out);
-    for (std::size_t j = 0; j < n_int; ++j)
-        caps.cn[j] = cap(model_->c_internal[j]);
+    std::size_t c = 0;
+    auto cap = [&](const lut::NdTable& t) {
+        caps_[c++] = point.dot(t.values());
+    };
+    for (std::size_t p = 0; p < n_pins; ++p) cap(model_->c_miller[p]);
+    cap(model_->c_out);
+    for (std::size_t j = 0; j < n_int; ++j) cap(model_->c_internal[j]);
     for (std::size_t p = 0; p < n_pins; ++p)
         for (std::size_t j = 0; j < n_int; ++j)
-            caps.cmn[p * n_int + j] =
-                cap(model_->c_miller_internal[p * n_int + j]);
+            cap(model_->c_miller_internal[p * n_int + j]);
     if (input_caps_) {
         // The 1-D c_in tables are extracted with the output tied, so they
         // already contain the pin->out Miller part; the grounded component
-        // of eq. (3) is CA = c_in - Cm (the Miller cap is stamped above).
+        // of eq. (3) is CA = c_in - Cm (the Miller cap is stamped above;
+        // caps_[p] is pin p's).
         for (std::size_t p = 0; p < n_pins; ++p)
-            caps.ca[p] =
-                std::max(0.0, model_->cin(p, vp[p]) - caps.cm[p]);
+            caps_[c++] = std::max(0.0, model_->cin(p, vp[p]) - caps_[p]);
     }
-    return caps;
+    return caps_;
 }
 
 void CsmCellDevice::commit(const spice::SimContext& ctx,
                            std::span<double> state_next) const {
     if (!ctx.is_tran()) return;
-    const std::size_t n_pins = model_->pin_count();
-    const std::size_t n_int = model_->internal_count();
-
-    // step_caps gathers x_prev into vp_scratch_ (or reuses the cached step
-    // linearization from the Newton iterations of this step).
-    const StepCaps& caps = step_caps(ctx);
-    std::vector<double>& v = v_scratch_;
-    std::vector<double>& vp = vp_scratch_;
-    gather(*ctx.x, v);
-    gather(*ctx.x_prev, vp);
+    // The capacitances of this step's Newton iterations (or a fresh
+    // evaluation at x_prev when caching is off).
+    const std::vector<double>& caps = step_caps(ctx);
     const auto base = static_cast<std::size_t>(state_base());
     const std::vector<double>& state = *ctx.state;
-
-    auto update = [&](std::size_t slot, double c, double v_now,
-                      double v_prev) {
-        state_next[base + slot] = spice::capacitor_current(
-            ctx, c, v_now, v_prev, state[base + slot]);
-    };
-
-    const std::size_t out_d = model_->out_axis();
-    std::size_t slot = 0;
-    for (std::size_t p = 0; p < n_pins; ++p, ++slot)
-        update(slot, caps.cm[p], v[p] - v[out_d], vp[p] - vp[out_d]);
-    update(slot, caps.co, v[out_d], vp[out_d]);
-    ++slot;
-    for (std::size_t j = 0; j < n_int; ++j, ++slot)
-        update(slot, caps.cn[j], v[n_pins + j], vp[n_pins + j]);
-    for (std::size_t p = 0; p < n_pins; ++p)
-        for (std::size_t j = 0; j < n_int; ++j, ++slot)
-            update(slot, caps.cmn[p * n_int + j], v[p] - v[n_pins + j],
-                   vp[p] - vp[n_pins + j]);
-    if (input_caps_) {
-        for (std::size_t p = 0; p < n_pins; ++p, ++slot)
-            update(slot, caps.ca[p], v[p], vp[p]);
+    for (std::size_t c = 0; c < caps.size(); ++c) {
+        const int a = cap_a_[c];
+        const int b = cap_b_[c];
+        state_next[base + c] = spice::capacitor_current(
+            ctx, caps[c], ctx.node_voltage(a) - ctx.node_voltage(b),
+            ctx.prev_voltage(a) - ctx.prev_voltage(b), state[base + c]);
     }
 }
 
 LutCapDevice::LutCapDevice(std::string name, const lut::NdTable& table,
                            int node, double scale)
-    : Device(std::move(name)), table_(&table), node_(node), scale_(scale) {
+    : Device(std::move(name)),
+      table_(lut::TableView::of(table)),
+      node_(node),
+      scale_(scale) {
     require(table.rank() == 1, "LutCapDevice: table must be 1-D");
     require(scale > 0.0, "LutCapDevice: scale must be positive");
+    terms_.add_cap(node_, spice::Circuit::kGround);
+    companion_.pairs.resize(1);
 }
 
 double LutCapDevice::cap_at(double v) const {
     const double q[1] = {v};
-    return scale_ * table_->at(std::span<const double>(q, 1));
+    return scale_ * table_.at(std::span<const double>(q, 1));
+}
+
+void LutCapDevice::resolve_slots(const SparseMatrix& pattern) {
+    terms_.resolve(pattern);
 }
 
 void LutCapDevice::stamp(spice::Stamper& st,
                          const spice::SimContext& ctx) const {
-    if (!ctx.is_tran()) return;
-    if (ctx.step_id < 0 || ctx.step_id != cap_step_id_) {
-        cap_cache_ = cap_at(ctx.prev_voltage(node_));
-        cap_step_id_ = ctx.step_id;
+    if (!ctx.is_tran() || ctx.dt <= 0.0) return;  // open in DC
+    if (!companion_.valid(ctx)) {
+        if (ctx.step_id < 0 || ctx.step_id != cap_step_id_) {
+            cap_cache_ = cap_at(ctx.prev_voltage(node_));
+            cap_step_id_ = ctx.step_id;
+        }
+        companion_.pairs[0] = spice::capacitor_companion(
+            ctx, cap_cache_,
+            ctx.prev_voltage(node_) -
+                ctx.prev_voltage(spice::Circuit::kGround),
+            (*ctx.state)[static_cast<std::size_t>(state_base())]);
+        companion_.set_key(ctx);
     }
-    const double i_prev =
-        (*ctx.state)[static_cast<std::size_t>(state_base())];
-    spice::stamp_capacitor(st, ctx, node_, spice::Circuit::kGround,
-                           cap_cache_, i_prev);
+    terms_.writer(st).cap(0, 0, companion_.pairs[0]);
 }
 
 void LutCapDevice::commit(const spice::SimContext& ctx,

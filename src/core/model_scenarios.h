@@ -66,6 +66,7 @@ public:
     int victim_net() const { return victim_net_; }
     int nor_out() const { return nor_out_; }
     const wave::Waveform& victim_input() const { return victim_input_; }
+    spice::Circuit& circuit() { return circuit_; }
 
 private:
     spice::Circuit circuit_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <type_traits>
+#include <utility>
 
 #include "common/error.h"
 #include "lut/ndtable.h"
@@ -118,49 +119,60 @@ void GridPoint::prepare_rank(const TableView& axes, const double* x,
                              bool with_gradient) {
     constexpr std::size_t kCorners = std::size_t{1} << R;
 
-    // Locate the cell and the normalized position within it per axis.
-    double u[R];
+    // Locate the cell per axis. f[d][0] = 1 - u_d is the low knot's factor,
+    // f[d][1] = u_d the high knot's.
+    double f[R][2];
+    std::size_t stride[R];
     std::size_t base = 0;
     for (std::size_t d = 0; d < R; ++d) {
         const std::span<const double> knots = axes.axes_[d].knots;
         const Locate loc = locate(knots, x[d]);
-        base += loc.index * axes.strides_[d];
-        u[d] = loc.u;
+        stride[d] = axes.strides_[d];
+        base += loc.index * stride[d];
+        f[d][0] = 1.0 - loc.u;
+        f[d][1] = loc.u;
         inv_h_[d] = 1.0 / (knots[loc.index + 1] - knots[loc.index]);
     }
     base_ = base;
 
-    // Corner c takes the high knot on axis d when bit d of c is set. The
-    // weights grow one axis at a time in axis order, so corner c carries
-    // ((1 * f_0) * f_1) * ... * f_{R-1} with f_d = u_d (high) or 1 - u_d
-    // (low): the product order of a per-corner loop over the axes.
-    offset_[0] = 0;
-    weight_[0] = 1.0;
-    for (std::size_t d = 0; d < R; ++d) {
-        const std::size_t half = std::size_t{1} << d;
-        if (with_gradient) {
-            // d(weight)/du_d replaces this axis' factor by +-1: continue the
-            // prefix products over axes < d (weight_[0, half) right now)
-            // with the axes above d, indexed by the corner without bit d.
-            double g[kCorners / 2];
-            std::copy(weight_.begin(), weight_.begin() + half, g);
-            for (std::size_t e = d + 1, n = half; e < R; ++e, n *= 2)
-                for (std::size_t c = 0; c < n; ++c) {
-                    g[c + n] = g[c] * u[e];
-                    g[c] = g[c] * (1.0 - u[e]);
-                }
-            double* row = grad_weight_.data() + d * kCorners;
-            for (std::size_t c = 0; c < kCorners; ++c) {
-                const double w = g[(c & (half - 1)) | ((c >> (d + 1)) << d)];
-                row[c] = (c & half) ? w : -w;
-            }
+    // Corner c takes the high knot on axis d when bit d of c is set. Up to
+    // rank 6 (64 corners, the largest cells) the corner loop is unrolled on
+    // the rank, so every bit test and factor pick below is a compile-time
+    // constant; ranks 7 and 8 loop, which keeps their code small.
+    const auto each_corner = [](auto&& fn) {
+        if constexpr (R <= 6) {
+            [&]<std::size_t... C>(std::index_sequence<C...>) {
+                (fn(std::integral_constant<std::size_t, C>{}), ...);
+            }(std::make_index_sequence<kCorners>{});
+        } else {
+            for (std::size_t c = 0; c < kCorners; ++c) fn(c);
         }
-        for (std::size_t c = 0; c < half; ++c) {
-            offset_[c + half] = offset_[c] + axes.strides_[d];
-            weight_[c + half] = weight_[c] * u[d];
-            weight_[c] = weight_[c] * (1.0 - u[d]);
+    };
+    // Weight: the direct product f_0 * f_1 * ... * f_{R-1}, in axis order
+    // (the per-corner loop's product).
+    each_corner([&](auto corner) {
+        const std::size_t c = corner;
+        std::size_t offset = 0;
+        double w = 1.0;
+        for (std::size_t d = 0; d < R; ++d) {
+            if ((c >> d) & 1u) offset += stride[d];
+            w *= f[d][(c >> d) & 1u];
         }
-    }
+        offset_[c] = offset;
+        weight_[c] = w;
+    });
+    if (!with_gradient) return;
+    // d(weight)/du_d: the same product without f_d, still in axis order,
+    // signed + for the high knot and - for the low one.
+    each_corner([&](auto corner) {
+        const std::size_t c = corner;
+        for (std::size_t d = 0; d < R; ++d) {
+            double w = 1.0;
+            for (std::size_t e = 0; e < R; ++e)
+                if (e != d) w *= f[e][(c >> e) & 1u];
+            grad_weight_[d * kCorners + c] = ((c >> d) & 1u) ? w : -w;
+        }
+    });
 }
 
 double GridPoint::dot(std::span<const double> values) const {

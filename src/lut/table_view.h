@@ -90,13 +90,15 @@ private:
 // locating anything again.
 //
 // The arithmetic is the per-corner multilinear loop, regrouped only where
-// floating point allows it: each corner weight is the product of its axis
-// factors (u or 1-u) taken in axis order, corners are accumulated in index
-// order, a gradient term is (+-w) * v with w the product of the other axis
-// factors in axis order, and each gradient sum is finally scaled by 1/h of
-// its cell. The kernel is specialised on rank at compile time (1..8) and
-// dispatched once per call. A GridPoint is fixed-size scratch (about 20 KB
-// at the rank cap) and allocates nothing.
+// floating point allows it: each corner weight is the direct product of its
+// axis factors (u or 1-u) taken in axis order, corners are accumulated in
+// index order, a gradient term is (+-w) * v with w the direct product of
+// the other axis factors in axis order, and each gradient sum is finally
+// scaled by 1/h of its cell. The kernel is specialised on rank at compile
+// time (1..8) and dispatched once per call; up to rank 6, prepare()
+// unrolls its corner loop on the rank, so every weight is a straight-line
+// product of factors picked at compile time. A GridPoint is fixed-size
+// scratch (about 20 KB at the rank cap) and allocates nothing.
 class GridPoint {
 public:
     // Locates x (one coordinate per axis of `axes`; only the axes of the

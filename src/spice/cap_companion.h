@@ -10,24 +10,38 @@
 
 namespace mcsm::spice {
 
-// Stamps a capacitor of value c between nodes a and b.
-// `i_prev` is the accepted branch current at the previous step (needed for
-// trapezoidal; ignored for backward Euler).
+// Companion model of a capacitor c over one transient step (ctx.dt > 0):
+// conductance geq in parallel with current source i_src (from a to b).
+// `v_prev` is the capacitor voltage (v_a - v_b) and `i_prev` the accepted
+// branch current at the previous step (needed for trapezoidal; ignored for
+// backward Euler).
+struct CapCompanion {
+    double geq = 0.0;
+    double i_src = 0.0;
+};
+
+inline CapCompanion capacitor_companion(const SimContext& ctx, double c,
+                                        double v_prev, double i_prev) {
+    CapCompanion m;
+    if (ctx.integrator == Integrator::kBackwardEuler) {
+        m.geq = c / ctx.dt;
+        m.i_src = -m.geq * v_prev;
+    } else {
+        m.geq = 2.0 * c / ctx.dt;
+        m.i_src = -m.geq * v_prev - i_prev;
+    }
+    return m;
+}
+
+// Stamps a capacitor of value c between nodes a and b (see
+// capacitor_companion for `i_prev`).
 inline void stamp_capacitor(Stamper& st, const SimContext& ctx, int a, int b,
                             double c, double i_prev) {
     if (!ctx.is_tran() || ctx.dt <= 0.0) return;  // open circuit in DC
-    const double v_prev = ctx.prev_voltage(a) - ctx.prev_voltage(b);
-    double geq = 0.0;
-    double i_src = 0.0;
-    if (ctx.integrator == Integrator::kBackwardEuler) {
-        geq = c / ctx.dt;
-        i_src = -geq * v_prev;
-    } else {
-        geq = 2.0 * c / ctx.dt;
-        i_src = -geq * v_prev - i_prev;
-    }
-    st.add_conductance(a, b, geq);
-    st.add_source_current(a, b, i_src);
+    const CapCompanion m = capacitor_companion(
+        ctx, c, ctx.prev_voltage(a) - ctx.prev_voltage(b), i_prev);
+    st.add_conductance(a, b, m.geq);
+    st.add_source_current(a, b, m.i_src);
 }
 
 // Branch current through the capacitor at the accepted new solution,

@@ -46,6 +46,16 @@ public:
     // Stamps the linearized companion model for the current NR iterate.
     virtual void stamp(Stamper& st, const SimContext& ctx) const = 0;
 
+    // Called once per topology by SolverWorkspace, next to the MOSFET and
+    // linear batch builds, for every device those batches do not take.
+    // `pattern` is the CSR matrix the workspace assembles into; it holds
+    // every entry this device's stamp() wrote in the pattern pass. A device
+    // may resolve its stamp destinations to CSR slots and RHS rows here,
+    // then, in stamp(), write them straight into Stamper::csr() whenever
+    // that matrix has this pattern_id(), in the order the Stamper
+    // primitives would. The default keeps every write on the primitives.
+    virtual void resolve_slots(const SparseMatrix& pattern) { (void)pattern; }
+
     // Appends times at which the device's drive has a derivative
     // discontinuity (waveform corners). The transient solver switches to
     // backward Euler for steps containing a breakpoint to suppress

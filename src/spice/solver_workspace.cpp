@@ -57,7 +57,7 @@ SolverWorkspace::SolverWorkspace(const Circuit& circuit)
 
     // Group devices for assemble(): MOSFETs into the SoA batch and linear
     // two-terminal devices into the LinearBatch, the rest onto the virtual
-    // path in original order.
+    // path in original order, each resolving its CSR slots first.
     std::vector<const Mosfet*> mosfets;
     std::vector<const Resistor*> resistors;
     std::vector<const Capacitor*> capacitors;
@@ -74,8 +74,10 @@ SolverWorkspace::SolverWorkspace(const Circuit& circuit)
             vsources.push_back(v);
         else if (const auto* i = dynamic_cast<const ISource*>(dev.get()))
             isources.push_back(i);
-        else
+        else {
+            dev->resolve_slots(matrix_);
             scalar_devices_.push_back(dev.get());
+        }
     }
     if (!mosfets.empty()) batch_.build(mosfets, matrix_);
     // Dispatch is per-process, but surfacing it per workspace makes the

@@ -109,7 +109,8 @@ private:
     std::size_t solves_ = 0;
     // Device grouping for assemble(): MOSFETs go through the SoA batch and
     // resistors/capacitors/independent sources through the linear batch;
-    // everything else stays on the virtual path.
+    // everything else stays on the virtual path (with the CSR slots its
+    // Device::resolve_slots hook resolved, if any).
     MosfetBatch batch_;
     LinearBatch linear_batch_;
     std::vector<const Device*> scalar_devices_;

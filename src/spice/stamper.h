@@ -93,6 +93,10 @@ public:
 
     std::vector<double>& rhs() { return b_; }
     const std::vector<double>& rhs() const { return b_; }
+    // The CSR storage written into; null for the pattern recorder. Devices
+    // with slots resolved against its pattern_id() write its values()
+    // directly (Device::resolve_slots).
+    SparseMatrix* csr() const { return sparse_; }
 
     // Index helpers (-1 for ground).
     int unknown_of_node(int node) const { return node == 0 ? -1 : node - 1; }

@@ -3,11 +3,16 @@
 // consistency, and accuracy against the transistor-level golden runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <ios>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "core/characterizer.h"
 #include "core/csm_device.h"
@@ -17,6 +22,7 @@
 #include "core/selective.h"
 #include "engine/crosstalk.h"
 #include "engine/scenarios.h"
+#include "spice/solver_workspace.h"
 #include "tech/tech130.h"
 #include "wave/metrics.h"
 
@@ -374,6 +380,130 @@ TEST(CsmDevicePath, PinnedCrosstalk) {
     topt.dt = 1e-12;
     expect_pinned(bench.run(topt), bench.nor_out(), bench.victim_net(),
                   kPinnedCrosstalk, "crosstalk");
+}
+
+// --- slot-resolved stamps vs the Stamper primitives ----------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Assembles every device of two identically built circuits through their
+// virtual stamp(): `c` into a copy of its workspace's CSR matrix (same
+// pattern id, so its CSM devices write the slots they resolved), `ref` into
+// a freshly built matrix of the same layout but another pattern id (so its
+// devices go through the Stamper primitives by node id). `ref` runs with
+// step_id -1, which turns every per-step cache off, so a stale capacitance
+// or companion pair on the slot side shows up too. Values and RHS must
+// agree bit for bit.
+void expect_slots_match_stamper(spice::Circuit& c, spice::Circuit& ref,
+                                const char* what) {
+    c.prepare();
+    ref.prepare();
+    const SparseMatrix& ws_matrix = c.workspace().csr_matrix();
+    SparseMatrix slots = ws_matrix;
+    SparseMatrix prims =
+        spice::collect_mna_pattern(ref, /*include_gmin=*/true);
+    ASSERT_EQ(slots.pattern_id(), ws_matrix.pattern_id()) << what;
+    ASSERT_NE(prims.pattern_id(), slots.pattern_id()) << what;
+    ASSERT_EQ(prims.size(), slots.size()) << what;
+    for (std::size_t r = 0; r < slots.size(); ++r) {
+        const auto a = slots.row_cols(r);
+        const auto b = prims.row_cols(r);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << what << " row " << r;
+    }
+    spice::Stamper st_slots(c.node_count(), c.branch_total(), &slots);
+    spice::Stamper st_prims(ref.node_count(), ref.branch_total(), &prims);
+
+    // Node voltages around the supply range, nonzero trapezoidal currents.
+    std::mt19937_64 rng(20080311);
+    std::uniform_real_distribution<double> volt(-0.1, 1.3);
+    std::uniform_real_distribution<double> amp(-1e-5, 1e-5);
+    const auto n_x = static_cast<std::size_t>(c.node_count() +
+                                              c.branch_total());
+    auto voltages = [&] {
+        std::vector<double> x(n_x);
+        for (double& v : x) v = volt(rng);
+        x[0] = 0.0;  // ground
+        return x;
+    };
+    auto currents = [&] {
+        std::vector<double> s(static_cast<std::size_t>(c.state_total()));
+        for (double& v : s) v = amp(rng);
+        return s;
+    };
+
+    auto assemble = [](spice::Circuit& circuit, spice::Stamper& st,
+                       const spice::SimContext& ctx) {
+        st.clear();
+        for (const auto& dev : circuit.devices()) dev->stamp(st, ctx);
+    };
+    auto check = [&](const spice::SimContext& ctx, const char* step) {
+        spice::SimContext uncached = ctx;
+        uncached.step_id = -1;
+        assemble(c, st_slots, ctx);
+        assemble(ref, st_prims, uncached);
+        const auto va = slots.values();
+        const auto vb = prims.values();
+        for (std::size_t k = 0; k < va.size(); ++k)
+            EXPECT_EQ(bits(va[k]), bits(vb[k]))
+                << what << " " << step << " slot " << k;
+        for (std::size_t r = 0; r < st_slots.rhs().size(); ++r)
+            EXPECT_EQ(bits(st_slots.rhs()[r]), bits(st_prims.rhs()[r]))
+                << what << " " << step << " rhs " << r;
+    };
+
+    std::vector<double> x = voltages();
+    std::vector<double> x_prev = voltages();
+    std::vector<double> state = currents();
+    spice::SimContext ctx;
+    ctx.x = &x;
+    ctx.x_prev = &x_prev;
+    ctx.state = &state;
+    ctx.time = 1e-10;
+
+    ctx.mode = spice::SimContext::Mode::kDc;
+    check(ctx, "dc");
+
+    ctx.mode = spice::SimContext::Mode::kTran;
+    ctx.step_id = 7;
+    ctx.dt = 1e-12;
+    ctx.integrator = spice::Integrator::kTrapezoidal;
+    check(ctx, "trap");
+    x = voltages();  // next Newton iterate, same step
+    check(ctx, "trap, second iterate");
+    ctx.dt = 0.5e-12;  // a retry at a smaller step under the same step id
+    check(ctx, "trap, dt halved");
+    ctx.integrator = spice::Integrator::kBackwardEuler;
+    check(ctx, "backward Euler");
+
+    x_prev = voltages();  // the next step
+    state = currents();
+    ctx.step_id = 8;
+    check(ctx, "backward Euler, next step");
+    ctx.integrator = spice::Integrator::kTrapezoidal;
+    check(ctx, "trap, next step");
+}
+
+TEST(CsmDevicePath, SlotResolvedStampsMatchStamperPath) {
+    const auto& s = ModelSuite::get();
+    const engine::HistoryStimulus hist =
+        engine::nor2_history(HistoryCase::kFast10, s.tech.vdd);
+    ModelLoadSpec load;
+    load.fanout_count = 2;
+    load.receiver = &s.inv_sis;
+    ModelCell cell(s.nor_mcsm, {{"A", hist.a}, {"B", hist.b}}, load);
+    ModelCell cell_ref(s.nor_mcsm, {{"A", hist.a}, {"B", hist.b}}, load);
+    expect_slots_match_stamper(cell.circuit(), cell_ref.circuit(),
+                               "NOR2 FO2");
+
+    // Input caps on, NOR2 pin B on ground: the ground terms resolve to -1
+    // slots and are skipped.
+    ModelCrosstalk xtalk(s.inv_sis, s.nor_mcsm, engine::CrosstalkConfig{},
+                         2.2e-9);
+    ModelCrosstalk xtalk_ref(s.inv_sis, s.nor_mcsm,
+                             engine::CrosstalkConfig{}, 2.2e-9);
+    expect_slots_match_stamper(xtalk.circuit(), xtalk_ref.circuit(),
+                               "crosstalk");
 }
 
 }  // namespace

@@ -156,6 +156,60 @@ TEST(SparseLu, RefactorReusesSymbolicAnalysis) {
     EXPECT_EQ(lu.refactor_count(), 5u);
 }
 
+TEST(SparseLu, SamePatternShapeDifferentCoordinatesReanalyzes) {
+    // Same n and nnz, different off-diagonal coordinates: the frozen fill
+    // of A has no slot for B's entries, so B must be analyzed afresh, not
+    // refactored over A's pattern (which would silently drop them).
+    auto build = [](const std::vector<std::pair<int, int>>& off,
+                    DenseMatrix& dense) {
+        SparseMatrix m;
+        m.build(4, off);
+        dense.resize(4, 4);
+        for (std::size_t r = 0; r < 4; ++r) {
+            m.add(r, r, 4.0 + static_cast<double>(r));
+            dense.at(r, r) = 4.0 + static_cast<double>(r);
+        }
+        for (const auto& [r, c] : off) {
+            const double v = 1.0 + 0.25 * static_cast<double>(r + 2 * c);
+            m.add(static_cast<std::size_t>(r), static_cast<std::size_t>(c),
+                  v);
+            dense.at(static_cast<std::size_t>(r),
+                     static_cast<std::size_t>(c)) = v;
+        }
+        return m;
+    };
+    DenseMatrix dense_a;
+    DenseMatrix dense_b;
+    const SparseMatrix a = build({{0, 1}, {1, 0}, {2, 3}, {3, 2}}, dense_a);
+    const SparseMatrix b = build({{0, 2}, {2, 0}, {1, 3}, {3, 1}}, dense_b);
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(a.nnz(), b.nnz());
+    const std::vector<double> rhs{1.0, -2.0, 0.5, 3.0};
+
+    auto expect_dense = [&](const SparseLu& lu, const DenseMatrix& dense) {
+        std::vector<double> x;
+        lu.solve(rhs, x);
+        const std::vector<double> want = solve_lu(dense, rhs);
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_NEAR(x[i], want[i],
+                        1e-12 * std::max(1.0, std::fabs(want[i])));
+    };
+    SparseLu lu;
+    lu.factor(a);
+    EXPECT_EQ(lu.full_factor_count(), 1u);
+    expect_dense(lu, dense_a);
+    lu.factor(b);
+    EXPECT_EQ(lu.full_factor_count(), 2u);
+    EXPECT_EQ(lu.refactor_count(), 0u);
+    expect_dense(lu, dense_b);
+    // A copy keeps its pattern identity and takes the refactor path.
+    const SparseMatrix b_copy = b;
+    lu.factor(b_copy);
+    EXPECT_EQ(lu.full_factor_count(), 2u);
+    EXPECT_EQ(lu.refactor_count(), 1u);
+    expect_dense(lu, dense_b);
+}
+
 TEST(SparseLu, PivotsZeroDiagonal) {
     // [[0, 1], [1, 0]] x = b requires a row swap; a no-pivot elimination
     // would die on the zero diagonal.
