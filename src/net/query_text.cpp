@@ -13,8 +13,8 @@ namespace mcsm::net {
 namespace {
 
 // Hot path: the server parses one line per query, so tokenization is
-// plain string_view scanning -- no stringstream, no allocation beyond the
-// strings the query itself stores.
+// plain string_view scanning -- no stringstream, and no allocation once the
+// query being refilled has the capacity for the line's fields.
 
 std::string_view next_token(std::string_view& rest) {
     std::size_t i = 0;
@@ -48,28 +48,28 @@ void split_csv(std::string_view csv, const Fn& consume) {
     }
 }
 
-std::size_t csv_count(std::string_view csv) {
-    std::size_t n = 1;
-    for (const char c : csv) n += c == ',' ? 1 : 0;
-    return n;
-}
-
-std::vector<double> parse_ps_list(std::string_view csv,
-                                  std::string_view line) {
-    std::vector<double> out;
-    out.reserve(csv_count(csv));
+// Refills `out` with the comma-separated ps values of `csv`, scaled to
+// seconds; keeps the vector's capacity.
+void parse_ps_list(std::string_view csv, std::string_view line,
+                   std::vector<double>& out) {
+    out.clear();
     split_csv(csv, [&](std::string_view item) {
         out.push_back(parse_number(item, line) * 1e-12);
     });
-    return out;
 }
 
-std::vector<std::string> parse_name_list(std::string_view csv) {
-    std::vector<std::string> out;
-    out.reserve(csv_count(csv));
-    split_csv(csv,
-              [&](std::string_view item) { out.emplace_back(item); });
-    return out;
+// Refills `out` with the comma-separated names of `csv`, reusing the
+// strings (and their capacity) already in it.
+void parse_name_list(std::string_view csv, std::vector<std::string>& out) {
+    std::size_t n = 0;
+    split_csv(csv, [&](std::string_view item) {
+        if (n < out.size())
+            out[n].assign(item);
+        else
+            out.emplace_back(item);
+        ++n;
+    });
+    out.resize(n);
 }
 
 // Shortest-round-trip rendering (std::to_chars default): the fewest
@@ -102,17 +102,25 @@ bool parse_query_line(std::string_view line, serve::TimingQuery& q) {
     if (dir != "rise" && dir != "fall") [[unlikely]]
         throw ModelError("edge direction must be rise|fall: " +
                          std::string(line));
-    q = serve::TimingQuery{};
-    q.cell = cell;
-    q.pins = parse_name_list(pins);
+    // Refill q in place: every field is reset or rewritten, and its
+    // strings and vectors keep their capacity, so a reused query parses
+    // without allocating.
+    q.cell.assign(cell);
+    parse_name_list(pins, q.pins);
     q.inputs_rise = dir == "rise";
-    q.slews = parse_ps_list(slews, line);
-    q.skews = parse_ps_list(skews, line);
+    parse_ps_list(slews, line, q.slews);
+    parse_ps_list(skews, line, q.skews);
     // A lone "0" means simultaneous switching for any pin count (the
     // service wants either an empty list or one skew per pin).
     if (q.skews.size() == 1 && q.skews[0] == 0.0 && q.pins.size() > 1)
         q.skews.clear();
     q.load_cap = parse_number(load_ff, line) * 1e-15;
+    q.c_near = 0.0;
+    q.r_wire = 0.0;
+    q.c_far = 0.0;
+    q.corner = serve::Corner{};
+    q.exact = false;
+    q.want_waveform = false;
 
     for (;;) {
         const std::string_view opt = next_token(rest);
@@ -120,17 +128,21 @@ bool parse_query_line(std::string_view line, serve::TimingQuery& q) {
         if (opt == "exact") {
             q.exact = true;
         } else if (opt.substr(0, 3) == "pi=") {
-            std::vector<double> vals;
+            double vals[3];
+            std::size_t count = 0;
             std::string_view pi = opt.substr(3);
             while (true) {
                 const std::size_t colon = pi.find(':');
-                vals.push_back(parse_number(pi.substr(0, colon), line));
+                const double v = parse_number(pi.substr(0, colon), line);
+                if (count < 3) vals[count] = v;
+                ++count;
                 if (colon == std::string_view::npos) break;
                 pi.remove_prefix(colon + 1);
             }
-            require(vals.size() == 3,
+            if (count != 3) [[unlikely]]
+                throw ModelError(
                     "bad pi load (want pi=<near_fF>:<r_ohm>:<c_far_fF>): " +
-                        std::string(line));
+                    std::string(line));
             q.c_near = vals[0] * 1e-15;
             q.r_wire = vals[1];
             q.c_far = vals[2] * 1e-15;

@@ -32,6 +32,9 @@ namespace mcsm::net {
 
 // Parses one query line into `q`. Returns false for blank/comment lines;
 // throws ModelError on malformed ones (report per line, keep the stream).
+// A successful parse resets and refills every field of `q` in place: its
+// strings and vectors keep their capacity, so a query reused line after
+// line parses without allocating and equals a fresh parse of the line.
 bool parse_query_line(std::string_view line, serve::TimingQuery& q);
 
 // Renders `q` as one protocol query line (no trailing newline). The

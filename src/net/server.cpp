@@ -290,11 +290,12 @@ void NetServer::handle_line(const std::shared_ptr<Conn>& conn,
                           " busy: server at max_pending, retry later");
         return;
     }
-    Pending p;
-    p.conn = conn;
-    p.seq = id;
+    // Parse straight into the next free slot; a line that fails to parse
+    // leaves the slot free for the next one.
+    const std::size_t slot = pending_.size();
+    if (slot == query_slots_.size()) query_slots_.emplace_back();
     try {
-        if (!parse_query_line(line, p.query)) {
+        if (!parse_query_line(line, query_slots_[slot])) {
             --conn->seq;  // blank/comment: no response, no id consumed
             return;
         }
@@ -309,7 +310,7 @@ void NetServer::handle_line(const std::shared_ptr<Conn>& conn,
         batch_deadline_ = std::chrono::steady_clock::now() +
                           std::chrono::microseconds(options_.linger_us);
     ++conn->queued;
-    pending_.push_back(std::move(p));
+    pending_.push_back(Pending{conn, id});
     if (pending_.size() >= options_.batch_max) run_pending_batch();
 }
 
@@ -317,26 +318,24 @@ void NetServer::run_pending_batch() {
     // EOF-triggered and timer-triggered flushes race an already-empty
     // queue; never pay a run_batch() for zero queries.
     if (pending_.empty()) return;
-    std::vector<Pending> batch;
-    batch.swap(pending_);
-    std::vector<serve::TimingQuery> queries;
-    queries.reserve(batch.size());
-    for (Pending& p : batch) queries.push_back(std::move(p.query));
+    const std::size_t n = pending_.size();
     batches_.fetch_add(1, std::memory_order_relaxed);
     obs::counter("net.batches").add();
-    obs::histogram("net.batch_size")
-        .observe(static_cast<double>(queries.size()));
+    obs::histogram("net.batch_size").observe(static_cast<double>(n));
+    // Nothing below adds to the pending batch (responses only append to
+    // connection buffers), so the slots are read in place.
     const std::vector<serve::TimingResult> results =
-        service_->run_batch(queries);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        Conn& conn = *batch[i].conn;
+        service_->run_batch({query_slots_.data(), n});
+    for (std::size_t i = 0; i < n; ++i) {
+        Conn& conn = *pending_[i].conn;
         --conn.queued;
         if (conn.fd < 0) continue;  // disconnected while the batch ran
-        append_result_line(conn.out, batch[i].seq, results[i]);
+        append_result_line(conn.out, pending_[i].seq, results[i]);
         conn.out += '\n';
     }
-    served_.fetch_add(results.size(), std::memory_order_relaxed);
-    obs::counter("net.served").add(static_cast<long long>(results.size()));
+    pending_.clear();
+    served_.fetch_add(n, std::memory_order_relaxed);
+    obs::counter("net.served").add(static_cast<long long>(n));
     // ONE flush per connection for the whole batch (responses were only
     // appended above); this also closes half-closed peers whose last
     // responses just materialized.

@@ -112,10 +112,11 @@ public:
 
 private:
     struct Conn;
+    // Who receives the answer to pending query i: the i-th entry of
+    // pending_ pairs with the i-th slot of query_slots_.
     struct Pending {
         std::shared_ptr<Conn> conn;
         std::uint64_t seq = 0;
-        serve::TimingQuery query;
     };
 
     void accept_ready(int listen_fd);
@@ -148,6 +149,11 @@ private:
     // Loop-thread state (never touched concurrently).
     std::vector<std::shared_ptr<Conn>> conns_;
     std::vector<Pending> pending_;
+    // Parsed queries of the pending batch, one slot per pending_ entry.
+    // Slots are reused across batches (never shrunk), so a line parses in
+    // place into a query that already has its capacity, and run_batch
+    // reads the slots directly.
+    std::vector<serve::TimingQuery> query_slots_;
     std::chrono::steady_clock::time_point batch_deadline_{};
     std::chrono::steady_clock::time_point next_reload_{};
 

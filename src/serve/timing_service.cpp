@@ -1,10 +1,11 @@
 #include "serve/timing_service.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.h"
@@ -52,23 +53,19 @@ double u_of(const TimingQuery& q, std::size_t p) {
     return edge_offset(q, p) / slew_scale(q.slews[0], q.slews[p]);
 }
 
-// Surface coordinates of `q` with the load axis pinned to `cap` (the
-// effective lumped load). Two-pin arcs use u_b directly; three-pin arcs
-// use the rotated (max, diff) coordinates -- see ArcSurface in the header.
-std::vector<double> lut_coords(const TimingQuery& q, double cap) {
-    std::vector<double> x;
-    x.reserve(2 * q.pins.size());
-    for (double s : q.slews) x.push_back(s);
-    if (q.pins.size() == 2) {
-        x.push_back(u_of(q, 1));
-    } else if (q.pins.size() == 3) {
-        const double u_b = u_of(q, 1);
-        const double u_c = u_of(q, 2);
-        x.push_back(std::max(u_b, u_c));
-        x.push_back(u_b - u_c);
-    }
-    x.push_back(cap);
-    return x;
+// LUT surfaces serve a query unless it forces the transient path.
+bool uses_lut(const TimingQuery& q) { return !(q.exact || q.want_waveform); }
+
+// True when `a` and `b` are served by the same path from the same timing
+// arc: the cell, the ordered switching pins, the edge direction and the
+// corner -- every field the arc id and the model key are built from.
+// Corners compare by value; two corners whose formatted tags coincide make
+// two batch arcs that resolve to the same cached surface or model.
+bool same_arc(const TimingQuery& a, const TimingQuery& b) {
+    return uses_lut(a) == uses_lut(b) && a.inputs_rise == b.inputs_rise &&
+           a.corner.vdd == b.corner.vdd &&
+           a.corner.temp_c == b.corner.temp_c && a.cell == b.cell &&
+           a.pins == b.pins;
 }
 
 void check_knots(const std::string& name, const std::vector<double>& knots,
@@ -133,24 +130,30 @@ TimingService::TimingService(ModelRepository& repo, ServeOptions options)
 }
 
 void TimingService::validate(const TimingQuery& q) {
+    // Runs once per query on the serving hot path: the literal-message
+    // checks allocate nothing, and the messages that carry counts or names
+    // are only formatted once a check has failed.
     require(!q.cell.empty(), "TimingQuery: empty cell name");
-    require(q.pins.size() >= 1 && q.pins.size() <= kMaxPins,
-            "TimingQuery: need 1 to 3 switching pins, got " +
-                std::to_string(q.pins.size()));
+    if (q.pins.size() < 1 || q.pins.size() > kMaxPins) [[unlikely]]
+        throw ModelError("TimingQuery: need 1 to 3 switching pins, got " +
+                         std::to_string(q.pins.size()));
     for (std::size_t p = 0; p < q.pins.size(); ++p) {
         require(!q.pins[p].empty(), "TimingQuery: empty pin name");
         for (std::size_t r = p + 1; r < q.pins.size(); ++r)
-            require(q.pins[p] != q.pins[r],
-                    "TimingQuery: duplicate switching pin " + q.pins[p]);
+            if (q.pins[p] == q.pins[r]) [[unlikely]]
+                throw ModelError("TimingQuery: duplicate switching pin " +
+                                 q.pins[p]);
     }
-    require(q.slews.size() == q.pins.size(),
+    if (q.slews.size() != q.pins.size()) [[unlikely]]
+        throw ModelError(
             "TimingQuery: need one input slew per switching pin (" +
-                std::to_string(q.pins.size()) + " pins, " +
-                std::to_string(q.slews.size()) + " slews)");
-    require(q.skews.empty() || q.skews.size() == q.pins.size(),
+            std::to_string(q.pins.size()) + " pins, " +
+            std::to_string(q.slews.size()) + " slews)");
+    if (!q.skews.empty() && q.skews.size() != q.pins.size()) [[unlikely]]
+        throw ModelError(
             "TimingQuery: skews must be empty or one per switching pin (" +
-                std::to_string(q.pins.size()) + " pins, " +
-                std::to_string(q.skews.size()) + " skews)");
+            std::to_string(q.pins.size()) + " pins, " +
+            std::to_string(q.skews.size()) + " skews)");
     for (double s : q.slews)
         require(std::isfinite(s) && s > 0.0,
                 "TimingQuery: input slews must be positive and finite");
@@ -513,93 +516,102 @@ TimingService::SurfacePtr TimingService::surface_for(const TimingQuery& q) {
     return surface;
 }
 
-double TimingService::effective_cap(const ArcSurface& surface,
-                                    const TimingQuery& q,
-                                    std::vector<double>& coords) const {
-    if (!q.has_pi_load()) return q.load_cap;
-    const double ctot = q.load_cap + q.c_near + q.c_far;
-    const double tau = q.r_wire * q.c_far;
-    if (tau <= 0.0) return ctot;
-    // Resistive shielding: during an output ramp of duration T the far
-    // cap, charged through r_wire, draws the charge of an equivalent
+TimingResult TimingService::eval_lut(const ArcSurface& surface,
+                                     const TimingQuery& q) const {
+    // Surface coordinates: [slews..., skew axes..., cap]. Two-pin arcs use
+    // u_b directly, three-pin arcs the rotated (max, diff) pair (see
+    // ArcSurface in the header).
+    const std::size_t n = q.pins.size();
+    const std::size_t rank = 2 * n;
+    std::array<double, 2 * kMaxPins> x{};
+    for (std::size_t p = 0; p < n; ++p) x[p] = q.slews[p];
+    if (n == 2) {
+        x[2] = u_of(q, 1);
+    } else if (n == 3) {
+        const double u_b = u_of(q, 1);
+        const double u_c = u_of(q, 2);
+        x[3] = std::max(u_b, u_c);
+        x[4] = u_b - u_c;
+    }
+    // Out of the skew-knot hull, delay and slew extrapolate linearly along
+    // the skew axes from the clamped point (axes [n, rank - 1)). The stored
+    // functions are linear in the skew coordinates beyond the dominance
+    // transition by construction (tail regions, see ArcSurface), so
+    // edge-gradient extrapolation returns the single-late-input answer
+    // instead of a clamped-coordinate artifact whose delay error would grow
+    // linearly with the excess skew. Slew and load axes keep the plain
+    // clamping of the lookup.
+    std::array<double, 2 * kMaxPins> xc = x;
+    bool outside = false;
+    for (std::size_t d = n; d + 1 < rank; ++d) {
+        const lut::TableView::AxisView& ax = surface.delay.axis(d);
+        outside = outside || x[d] < ax.lo() || x[d] > ax.hi();
+        xc[d] = std::clamp(x[d], ax.lo(), ax.hi());
+    }
+
+    // ONE prepared point serves every lookup: the delay and slew tables
+    // share their axes, so a point located at some cap evaluates both, and
+    // it is re-located only when the cap changes. The Ceff rounds read the
+    // slew table plainly (clamped, never extrapolated); a plain lookup at
+    // x picks the same cell and weights as one at the clamped point xc, so
+    // those rounds share the point too.
+    lut::GridPoint point;
+    xc[rank - 1] = std::numeric_limits<double>::quiet_NaN();  // not located
+    const auto locate = [&](double cap) {
+        if (xc[rank - 1] == cap) return;
+        xc[rank - 1] = cap;
+        point.prepare(surface.delay, {xc.data(), rank}, outside);
+    };
+    std::array<double, 2 * kMaxPins> grad;
+    const auto read = [&](const lut::TableView& table) {
+        if (!outside) return point.dot(table.values());
+        double v = point.dot_grad(table.values(), {grad.data(), rank});
+        for (std::size_t d = n; d + 1 < rank; ++d)
+            v += grad[d] * (x[d] - xc[d]);
+        return v;
+    };
+
+    // Effective lumped capacitance of the load as seen from the cell
+    // output around the 50% crossing: load_cap for lumped loads; for pi
+    // loads, resistive shielding: during an output ramp of duration T the
+    // far cap, charged through r_wire, draws the charge of an equivalent
     // lumped cap k * c_far with k = 1 - (tau/T) * (1 - exp(-T/tau)). The
     // delay is set by the 50% crossing, so the averaging window is the
     // FIRST HALF of the ramp (where the relative lag is largest); the ramp
     // duration depends on the load, so iterate against the surface's own
-    // slew table, reusing the caller's coordinate vector (only the cap
-    // slot changes between rounds).
-    double ceff = ctot;
-    for (int iter = 0; iter < 4; ++iter) {
-        coords.back() = ceff;
-        const double slew_out = std::max(surface.slew.at(coords), 1e-12);
-        const double t_half = 0.5 * slew_out / 0.8;  // 10-90% -> half ramp
-        const double r = tau / t_half;
-        const double k = 1.0 - r * (1.0 - std::exp(-1.0 / r));
-        const double next = q.load_cap + q.c_near + k * q.c_far;
-        // Exact-equality early exit: further rounds would reproduce the
-        // same value, so this cannot change results, only skip work.
-        if (next == ceff) break;
-        ceff = next;
+    // slew table.
+    double ceff = q.load_cap;
+    if (q.has_pi_load()) {
+        const double tau = q.r_wire * q.c_far;
+        ceff = q.load_cap + q.c_near + q.c_far;
+        for (int iter = 0; tau > 0.0 && iter < 4; ++iter) {
+            locate(ceff);
+            const double slew_out =
+                std::max(point.dot(surface.slew.values()), 1e-12);
+            const double t_half = 0.5 * slew_out / 0.8;  // 10-90% -> half ramp
+            const double r = tau / t_half;
+            const double k = 1.0 - r * (1.0 - std::exp(-1.0 / r));
+            const double next = q.load_cap + q.c_near + k * q.c_far;
+            // Exact-equality early exit: further rounds would reproduce the
+            // same value, so this cannot change results, only skip work --
+            // and the point of this round is already located at Ceff.
+            if (next == ceff) break;
+            ceff = next;
+        }
     }
-    return ceff;
-}
 
-namespace {
-
-// Evaluates `table` at `coords`, linearly extrapolating along the SKEW
-// axes when the query lies outside their hull (axes [first_skew,
-// first_skew + n_skew)). The stored functions are linear in the skew
-// coordinates beyond the dominance transition by construction (tail
-// regions, see ArcSurface), so edge-gradient extrapolation returns the
-// single-late-input answer instead of a clamped-coordinate artifact whose
-// delay error would grow linearly with the excess skew. Slew/load axes
-// keep the plain clamping of NdTable::at.
-double eval_skew_extrapolated(const lut::TableView& table,
-                              std::span<const double> coords,
-                              std::size_t first_skew, std::size_t n_skew) {
-    bool outside = false;
-    for (std::size_t i = first_skew; i < first_skew + n_skew; ++i) {
-        const lut::TableView::AxisView& ax = table.axis(i);
-        outside = outside || coords[i] < ax.lo() || coords[i] > ax.hi();
-    }
-    if (!outside) return table.at(coords);
-
-    std::vector<double> clamped(coords.begin(), coords.end());
-    for (std::size_t i = first_skew; i < first_skew + n_skew; ++i) {
-        const lut::TableView::AxisView& ax = table.axis(i);
-        clamped[i] = std::clamp(clamped[i], ax.lo(), ax.hi());
-    }
-    std::vector<double> grad(table.rank(), 0.0);
-    double v = table.at_with_gradient(clamped, grad);
-    for (std::size_t i = first_skew; i < first_skew + n_skew; ++i)
-        v += grad[i] * (coords[i] - clamped[i]);
-    return v;
-}
-
-}  // namespace
-
-TimingResult TimingService::eval_lut(const ArcSurface& surface,
-                                     const TimingQuery& q) const {
-    // One coordinate vector serves the whole evaluation: the Ceff
-    // iteration, the delay lookup and the slew lookup differ only in the
-    // cap slot.
-    std::vector<double> x = lut_coords(q, q.load_cap);
-    x.back() = effective_cap(surface, q, x);
     // The surface's delay is referenced to pin 0's edge (see ArcSurface);
     // the query contract references the LATEST edge. The difference is the
     // exact, analytic offset between the two references: the largest
     // positive edge offset.
     double ref_shift = 0.0;
-    for (std::size_t p = 1; p < q.pins.size(); ++p)
+    for (std::size_t p = 1; p < n; ++p)
         ref_shift = std::max(ref_shift, edge_offset(q, p));
-    const std::size_t n_skew = q.pins.size() - 1;
-    const std::size_t first_skew = q.pins.size();
     TimingResult result;
     result.valid = true;
     result.path = ResultPath::kLut;
-    result.delay =
-        eval_skew_extrapolated(surface.delay, x, first_skew, n_skew) -
-        ref_shift;
+    locate(ceff);
+    result.delay = read(surface.delay) - ref_shift;
     // The 50% crossing sees the shielded (effective) cap, but the 10-90%
     // span integrates essentially the whole far-cap charge (the resistive
     // lag collapses as dv/dt falls towards the rails), so the slew tracks
@@ -611,13 +623,11 @@ TimingResult TimingService::eval_lut(const ArcSurface& surface,
     // that the slew read trends pessimistic.
     if (q.has_pi_load()) {
         const double ctot = q.load_cap + q.c_near + q.c_far;
-        x.back() = ctot;
+        locate(ctot);
         result.slew =
-            eval_skew_extrapolated(surface.slew, x, first_skew, n_skew) +
-            0.5 * q.r_wire * q.c_far * (q.c_far / ctot);
+            read(surface.slew) + 0.5 * q.r_wire * q.c_far * (q.c_far / ctot);
     } else {
-        result.slew =
-            eval_skew_extrapolated(surface.slew, x, first_skew, n_skew);
+        result.slew = read(surface.slew);
     }
     return result;
 }
@@ -628,6 +638,7 @@ std::vector<TimingResult> TimingService::run_batch(
     static obs::Counter& lut_queries = obs::counter("serve.query.lut");
     static obs::Counter& exact_queries = obs::counter("serve.query.exact");
     static obs::Counter& query_errors = obs::counter("serve.query.errors");
+    static obs::Counter& surface_hits = obs::counter("serve.surface.hit");
     static obs::Histogram& batch_ns = obs::histogram("serve.batch_ns");
     static obs::Histogram& lut_ns = obs::histogram("serve.query.lut_ns");
     static obs::Histogram& exact_ns = obs::histogram("serve.query.exact_ns");
@@ -636,73 +647,96 @@ std::vector<TimingResult> TimingService::run_batch(
     batches.add();
     std::vector<TimingResult> results(queries.size());
 
-    // Phase 1: warm every distinct arc once (surface or model), so the
-    // per-query phase interpolates instead of serializing on single-flight
-    // builds. Arcs are warmed sequentially ON PURPOSE: each cold surface
-    // build fans its grid transients over the whole pool, which beats
-    // building arcs concurrently with one inline-running worker each.
-    // A failed warm-up is recorded and short-circuits every query on that
-    // arc below -- one build attempt per arc per batch, not per query (the
-    // next run_batch retries, preserving the never-cache-failures
-    // contract).
-    std::unordered_map<std::string, std::string> failed;
-    {
-        std::unordered_set<std::string> seen;
-        for (const TimingQuery& q : queries) {
-            try {
-                validate(q);
-            } catch (const std::exception&) {
-                continue;  // phase 2 reports it on the right result
-            }
-            const bool lut = !(q.exact || q.want_waveform);
-            const std::string warm_id = (lut ? "S|" : "M|") + arc_id(q);
-            if (!seen.insert(warm_id).second) continue;
-            try {
-                if (lut)
-                    surface_for(q);
-                else
-                    repo_->get(ModelKey::arc(q.cell, q.pins, q.corner));
-            } catch (const std::exception& e) {
-                failed.emplace(warm_id, e.what());
-            }
+    // One distinct arc of the batch (per evaluation path), resolved once:
+    // its surface (LUT) or model (exact), or the error resolving it.
+    struct BatchArc {
+        const TimingQuery* first = nullptr;  // the arc's first query
+        std::size_t queries = 0;
+        SurfacePtr surface;
+        std::shared_ptr<const core::CsmModel> model;
+        std::string error;  // resolution failure (neither pointer set)
+    };
+    constexpr std::size_t kInvalid = static_cast<std::size_t>(-1);
+
+    // Phase 1: validate each query once and match it to its arc by
+    // comparing the fields the arc's cache keys are built from with each
+    // distinct arc's first query -- no key strings per query. Each new arc
+    // resolves its surface or model right away, so the per-query phase
+    // interpolates instead of serializing on single-flight builds. Arcs
+    // are warmed sequentially ON PURPOSE: each cold surface build fans its
+    // grid transients over the whole pool, which beats building arcs
+    // concurrently with one inline-running worker each. A failed
+    // resolution fails every query on that arc -- one attempt per arc per
+    // batch, not per query (the next run_batch retries, preserving the
+    // never-cache-failures contract).
+    std::vector<BatchArc> arcs;
+    std::vector<std::size_t> arc_of(queries.size(), kInvalid);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        const TimingQuery& q = queries[i];
+        try {
+            validate(q);
+        } catch (const std::exception& e) {
+            results[i].error = e.what();
+            continue;
+        }
+        std::size_t a = 0;
+        while (a < arcs.size() && !same_arc(*arcs[a].first, q)) ++a;
+        arc_of[i] = a;
+        if (a < arcs.size()) {
+            ++arcs[a].queries;
+            continue;
+        }
+        BatchArc& arc = arcs.emplace_back();
+        arc.first = &q;
+        arc.queries = 1;
+        try {
+            if (uses_lut(q))
+                arc.surface = surface_for(q);
+            else
+                arc.model = repo_->get(ModelKey::arc(q.cell, q.pins, q.corner));
+        } catch (const std::exception& e) {
+            arc.error = e.what();
         }
     }
+    // The surface counters count LUT queries: surface_for recorded how each
+    // arc's first query was served, and the rest reuse that surface.
+    for (const BatchArc& arc : arcs)
+        if (arc.surface)
+            surface_hits.add(static_cast<long long>(arc.queries) - 1);
 
-    const auto failure_of = [&](const TimingQuery& q) -> const std::string* {
-        const bool lut = !(q.exact || q.want_waveform);
-        const auto it = failed.find((lut ? "S|" : "M|") + arc_id(q));
-        return it == failed.end() ? nullptr : &it->second;
-    };
-
-    // Phase 2: evaluate every query independently.
+    // Phase 2: evaluate every query independently against its arc's
+    // resolved surface or model -- no key strings, no cache lookups.
     parallel_for(
         queries.size(),
         [&](std::size_t i) {
             const TimingQuery& q = queries[i];
             const obs::Span query_span("serve.query", q.cell);
             const std::uint64_t t0 = obs::now_ns();
-            try {
-                validate(q);
-                if (const std::string* error = failure_of(q)) {
-                    results[i].error = *error;
-                    return;
+            TimingResult& result = results[i];
+            // A query without an arc failed validation; phase 1 stored
+            // the error.
+            if (arc_of[i] != kInvalid) {
+                const BatchArc& arc = arcs[arc_of[i]];
+                try {
+                    if (arc.surface) {
+                        result = eval_lut(*arc.surface, q);
+                        lut_queries.add();
+                        lut_ns.observe(
+                            static_cast<double>(obs::now_ns() - t0));
+                    } else if (arc.model) {
+                        result = eval_transient(*arc.model, q);
+                        exact_queries.add();
+                        exact_ns.observe(
+                            static_cast<double>(obs::now_ns() - t0));
+                    } else {
+                        result.error = arc.error;
+                    }
+                } catch (const std::exception& e) {
+                    result = TimingResult{};
+                    result.error = e.what();
                 }
-                if (q.exact || q.want_waveform) {
-                    const auto model = repo_->get(
-                        ModelKey::arc(q.cell, q.pins, q.corner));
-                    results[i] = eval_transient(*model, q);
-                    exact_queries.add();
-                    exact_ns.observe(static_cast<double>(obs::now_ns() - t0));
-                } else {
-                    results[i] = eval_lut(*surface_for(q), q);
-                    lut_queries.add();
-                    lut_ns.observe(static_cast<double>(obs::now_ns() - t0));
-                }
-            } catch (const std::exception& e) {
-                results[i] = TimingResult{};
-                results[i].error = e.what();
             }
-            if (!results[i].error.empty()) query_errors.add();
+            if (!result.valid) query_errors.add();
         },
         options_.threads);
     return results;

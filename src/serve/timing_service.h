@@ -34,6 +34,15 @@
 // characterization). Batch results are deterministic for any thread count:
 // every query is an independent, single-threaded evaluation of immutable
 // tables.
+//
+// A warm LUT query pays bookkeeping once per batch and arithmetic once per
+// query: run_batch validates each query once, matches it to a per-batch
+// arc table (field comparison against each distinct arc's first query, no
+// key strings) and resolves each arc's surface or model once; the
+// per-query phase then indexes that table -- no cache lookup, no key
+// string, no heap allocation -- and eval_lut reads delay, slew and the
+// effective-capacitance rounds from one prepared lut::GridPoint per
+// distinct cap.
 #ifndef MCSM_SERVE_TIMING_SERVICE_H
 #define MCSM_SERVE_TIMING_SERVICE_H
 
@@ -207,9 +216,11 @@ private:
         lut::NdTable delay_owned;
         lut::NdTable slew_owned;
         // The evaluation handles: views over the owned tables or straight
-        // into the pack mapping. Every eval goes through lut::TableView's
-        // single interpolation kernel, so owned and mapped serving are
-        // bitwise-identical by construction.
+        // into the pack mapping. Both tables are defined on the same axes
+        // (checked when a surface is loaded), so eval_lut prepares one
+        // lut::GridPoint on `delay`'s axes and dots both tables with it.
+        // GridPoint is lut::TableView::at's kernel, so owned and mapped
+        // serving are bitwise-identical by construction.
         lut::TableView delay;
         lut::TableView slew;
         // Pins the mapping the views borrow from (null for owned
@@ -229,16 +240,11 @@ private:
     SurfacePtr surface_for(const TimingQuery& query);
     SurfacePtr build_surface(const TimingQuery& query);
 
-    // Effective lumped capacitance of the query's load as seen from the
-    // cell output around the 50% crossing: load_cap for lumped loads, the
-    // converged shielded cap for pi loads (iterates against the surface's
-    // slew table through `coords`, whose cap slot it clobbers). Feeds the
-    // delay lookup; the slew lookup uses the full lumped cap (see
-    // eval_lut).
-    double effective_cap(const ArcSurface& surface,
-                         const TimingQuery& query,
-                         std::vector<double>& coords) const;
-
+    // LUT answer for `query`: delay and slew read from ONE lut::GridPoint
+    // per distinct cap (the pi-load effective-capacitance rounds, the delay
+    // at the converged Ceff, the slew at the full lumped cap), with linear
+    // extrapolation along the skew axes outside their knot hull. No heap
+    // allocation.
     TimingResult eval_lut(const ArcSurface& surface,
                           const TimingQuery& query) const;
     // `ref_pin0` switches the delay reference from the latest input edge

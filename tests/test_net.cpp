@@ -1,5 +1,6 @@
 // Network-tier tests: the wire-protocol codec (locale-proof from_chars
-// parsing, shortest-round-trip result rendering), durable store plumbing
+// parsing, allocation-free parsing into a reused query,
+// shortest-round-trip result rendering), durable store plumbing
 // (atomic publish, EXDEV fallback, orphan-temp cleanup / crash recovery),
 // the mmap zero-parse pack (bit-exact round trip, corruption rejection,
 // hot reload + generation retirement) and the socket server (concurrent
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "cells/library.h"
+#include "common/alloc_instrument.h"
 #include "common/error.h"
 #include "common/fp_text.h"
 #include "common/single_flight.h"
@@ -167,6 +169,52 @@ TEST(WireCodec, ParsesTheFullGrammar) {
     EXPECT_THROW(parse_query_line("INV_X1 A rise 50 0 3 bogus=1", q),
                  ModelError);
     EXPECT_THROW(parse_query_line("INV_X1 A rise 50 0 inf", q), ModelError);
+}
+
+// The server parses every line into a reused query slot: once the slot
+// has the capacity, parsing allocates nothing, and a line leaves every
+// field exactly as a fresh parse would -- no option of an earlier line
+// survives into a plain one.
+TEST(WireCodec, ParseIntoAReusedQueryMatchesAFreshParseAndDoesNotAllocate) {
+    const char* const lines[] = {
+        "NAND3 A,B,C rise 80,100,120 0,40,80 6 pi=1:300:4 vdd=1.1 temp=85 "
+        "exact",
+        "INV_X1 A fall 50 0 3",
+        "NOR2 A,B rise 50,60.5 0,-20 3.25",
+        "NOR2 B fall 70 0 2.5 pi=0.5:120:1",
+        "NAND3 A,B,C fall 60,70,80 0 4 vdd=1.08",
+    };
+    TimingQuery reused;
+    for (const char* line : lines)  // warm: grow every field's capacity
+        ASSERT_TRUE(parse_query_line(line, reused));
+    for (const char* line : lines) {
+        const std::size_t before = AllocCounter::count();
+        ASSERT_TRUE(parse_query_line(line, reused));
+        EXPECT_EQ(AllocCounter::count(), before) << line;
+
+        TimingQuery fresh;
+        ASSERT_TRUE(parse_query_line(line, fresh));
+        EXPECT_EQ(reused.cell, fresh.cell) << line;
+        EXPECT_EQ(reused.pins, fresh.pins) << line;
+        EXPECT_EQ(reused.inputs_rise, fresh.inputs_rise) << line;
+        EXPECT_EQ(reused.slews, fresh.slews) << line;
+        EXPECT_EQ(reused.skews, fresh.skews) << line;
+        EXPECT_EQ(bits(reused.load_cap), bits(fresh.load_cap)) << line;
+        EXPECT_EQ(bits(reused.c_near), bits(fresh.c_near)) << line;
+        EXPECT_EQ(bits(reused.r_wire), bits(fresh.r_wire)) << line;
+        EXPECT_EQ(bits(reused.c_far), bits(fresh.c_far)) << line;
+        EXPECT_EQ(bits(reused.corner.vdd), bits(fresh.corner.vdd)) << line;
+        EXPECT_EQ(bits(reused.corner.temp_c), bits(fresh.corner.temp_c))
+            << line;
+        EXPECT_EQ(reused.exact, fresh.exact) << line;
+        EXPECT_EQ(reused.want_waveform, fresh.want_waveform) << line;
+    }
+    // A query the service marked for a waveform is reset too.
+    reused.want_waveform = true;
+    ASSERT_TRUE(parse_query_line("INV_X1 A fall 50 0 3", reused));
+    EXPECT_FALSE(reused.want_waveform);
+    EXPECT_GT(AllocCounter::count(), 0u)
+        << "allocation counter is not instrumented";
 }
 
 TEST(WireCodec, QueryLineRoundTripsThroughTheFormatter) {

@@ -2,8 +2,9 @@
 // library cell), corrupt-input rejection (bad magic, bad checksums,
 // truncations, malformed text -- always ModelError, never a partial model),
 // repository caching semantics (lazy load, single-flight characterization,
-// clean cache after failures), and deterministic batched timing queries
-// across thread counts.
+// clean cache after failures), deterministic batched timing queries
+// across thread counts, LUT answers pinned bit for bit, the per-query
+// error and surface counters, and allocation-free warm LUT batches.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,11 +22,13 @@
 #include <vector>
 
 #include "cells/library.h"
+#include "common/alloc_instrument.h"
 #include "common/parallel.h"
 #include "common/single_flight.h"
 #include "core/characterizer.h"
 #include "core/model_io.h"
 #include "lut/table_io.h"
+#include "obs/metrics.h"
 #include "serve/model_store.h"
 #include "serve/repository.h"
 #include "serve/timing_service.h"
@@ -893,6 +896,305 @@ TEST(TimingService, MalformedQueriesYieldDescriptiveErrors) {
         EXPECT_FALSE(r.valid) << cases[i].name;
         EXPECT_FALSE(r.error.empty()) << cases[i].name;
         EXPECT_EQ(r.delay, 0.0) << cases[i].name << ": no garbage numbers";
+    }
+}
+
+// Queries on an arc that passes validation but cannot be resolved (no such
+// cell in the repository) all fail with the resolution error, and each one
+// counts as a query error.
+TEST(TimingService, UnresolvableArcFailsAndCountsEveryQuery) {
+    auto repo = seeded_repo();
+    TimingService service(*repo, test_serve_options());
+    std::vector<TimingQuery> batch;
+    for (int i = 0; i < 8; ++i) {
+        TimingQuery q;
+        q.cell = "NO_SUCH_CELL";
+        q.pins = {"A"};
+        q.slews = {(50 + 10.0 * i) * 1e-12};
+        q.load_cap = 4e-15;
+        q.exact = i >= 6;  // both paths resolve (and fail) once per arc
+        batch.push_back(q);
+    }
+    obs::Counter& errors = obs::counter("serve.query.errors");
+    const long long before = errors.value();
+    const std::vector<TimingResult> r = service.run_batch(batch);
+    const long long counted = errors.value() - before;
+    ASSERT_EQ(r.size(), batch.size());
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        EXPECT_FALSE(r[i].valid) << i;
+        EXPECT_NE(r[i].error.find("NO_SUCH_CELL"), std::string::npos)
+            << i << ": " << r[i].error;
+    }
+    if (obs::enabled()) {
+        EXPECT_EQ(counted, static_cast<long long>(batch.size()));
+    }
+}
+
+// serve.surface.{hit,miss,wait} count LUT queries: an arc's first query in
+// a batch records how its surface was served, the others record hits.
+TEST(TimingService, SurfaceCountersCountEveryLutQuery) {
+    if (!obs::enabled()) GTEST_SKIP() << "built with MCSM_OBS=OFF";
+    auto repo = seeded_repo();
+    TimingService service(*repo, test_serve_options());
+    std::vector<TimingQuery> batch;
+    for (int i = 0; i < 5; ++i) {
+        TimingQuery q;
+        q.cell = "INV_X1";
+        q.pins = {"A"};
+        q.slews = {(60 + 10.0 * i) * 1e-12};
+        q.load_cap = 3e-15;
+        batch.push_back(q);
+    }
+    obs::Counter& hits = obs::counter("serve.surface.hit");
+    obs::Counter& misses = obs::counter("serve.surface.miss");
+    const long long hits0 = hits.value();
+    const long long misses0 = misses.value();
+    service.run_batch(batch);  // cold: one miss, then hits
+    EXPECT_EQ(misses.value() - misses0, 1);
+    EXPECT_EQ(hits.value() - hits0, 4);
+    service.run_batch(batch);  // warm: every query hits
+    EXPECT_EQ(misses.value() - misses0, 1);
+    EXPECT_EQ(hits.value() - hits0, 9);
+}
+
+// Mixed LUT traffic on fixed arcs: INV_X1 and NOR2, lumped and pi loads,
+// skews inside and beyond the skew hull.
+std::vector<TimingQuery> lut_traffic(std::size_t n) {
+    std::vector<TimingQuery> batch;
+    for (std::size_t i = 0; i < n; ++i) {
+        TimingQuery q;
+        if (i % 3 == 0) {
+            q.cell = "INV_X1";
+            q.pins = {"A"};
+            q.slews = {(45 + 7.0 * static_cast<double>(i % 11)) * 1e-12};
+        } else {
+            q.cell = "NOR2";
+            q.pins = {"A", "B"};
+            q.slews = {(55 + 5.0 * static_cast<double>(i % 13)) * 1e-12,
+                       (60 + 4.0 * static_cast<double>(i % 7)) * 1e-12};
+            q.skews = {0.0,
+                       (static_cast<double>(i % 9) - 4.0) * 60e-12};
+        }
+        q.inputs_rise = (i % 2) == 1;
+        q.load_cap = (1.5 + 0.5 * static_cast<double>(i % 10)) * 1e-15;
+        if (i % 5 == 0) {
+            q.c_near = 0.5e-15;
+            q.r_wire = 400.0;
+            q.c_far = 2e-15;
+        }
+        batch.push_back(std::move(q));
+    }
+    return batch;
+}
+
+// A warm LUT batch allocates per batch (its results, its arc table), never
+// per query: 64 and 512 queries on the same arcs cost the same number of
+// heap allocations.
+TEST(TimingService, WarmLutBatchAllocatesNothingPerQuery) {
+    auto repo = seeded_repo();
+    ServeOptions opt = test_serve_options();
+    opt.threads = 1;
+    TimingService service(*repo, opt);
+    const std::vector<TimingQuery> small = lut_traffic(64);
+    const std::vector<TimingQuery> large = lut_traffic(512);
+    for (const TimingResult& r : service.run_batch(large))  // warm up
+        ASSERT_TRUE(r.valid) << r.error;
+    const auto allocations = [&](const std::vector<TimingQuery>& batch) {
+        const std::size_t before = AllocCounter::count();
+        const std::vector<TimingResult> r = service.run_batch(batch);
+        return AllocCounter::count() - before;
+    };
+    const std::size_t small_allocs = allocations(small);
+    const std::size_t large_allocs = allocations(large);
+    EXPECT_EQ(small_allocs, large_allocs)
+        << "allocations grow with the query count";
+    EXPECT_GT(small_allocs, 0u) << "allocation counter is not instrumented";
+}
+
+// --- pinned LUT results ----------------------------------------------------
+
+// Small 3-pin grid (2 * 2 * 2 * 3 * 3 * 2 = 144 knot transients) on top of
+// the 1-/2-pin test grid.
+ServeOptions pinned_serve_options() {
+    ServeOptions opt = test_serve_options();
+    opt.slew_knots_mis3 = {60e-12, 200e-12};
+    opt.skew_knots_mis3 = {-1.0, 0.0, 1.0};
+    opt.skew_pair_knots_mis3 = {-0.8, 0.0, 0.8};
+    opt.load_knots_mis3 = {2e-15, 8e-15};
+    return opt;
+}
+
+// Repository with the shared nominal models and a library behind it, so the
+// derated INV_X1 corner and the 6-D NAND3 model characterize on miss.
+std::unique_ptr<ModelRepository> library_repo() {
+    const Shared& s = Shared::get();
+    RepositoryOptions ropt;
+    ropt.char_options = fast_options();
+    ropt.char_options_mis3 = fast_options(4);
+    auto repo = std::make_unique<ModelRepository>(&s.lib, ropt);
+    repo->put(ModelKey::arc("INV_X1", {"A"}), s.inv);
+    repo->put(ModelKey::arc("NOR2", {"A", "B"}), s.nor);
+    return repo;
+}
+
+const Corner kPinnedCorner{1.1, 85.0};
+
+// Edge-start skews that put pin p at normalized offset u[p] relative to
+// pin 0 (the inverse of the surface's skew coordinate).
+std::vector<double> skews_for(const std::vector<double>& slews,
+                              const double* u) {
+    std::vector<double> skews(slews.size(), 0.0);
+    for (std::size_t p = 1; p < slews.size(); ++p)
+        skews[p] = u[p] * 0.5 * (slews[0] + slews[p]) -
+                   0.5 * (slews[p] - slews[0]);
+    return skews;
+}
+
+// A seeded mixed LUT batch covering every class the LUT path serves
+// differently: 1-, 2- and 3-pin arcs; the derated corner; lumped loads;
+// pi loads whose effective-capacitance iteration converges early (every
+// candidate cap beyond the load hull), runs all four rounds, or is skipped
+// (no far cap); normalized skews beyond both ends of the skew hull; and
+// knot-exact coordinates. Raw mt19937 words (not <random> distributions)
+// keep the batch identical across standard libraries.
+std::vector<TimingQuery> pinned_batch() {
+    std::mt19937 gen(20261018u);
+    const auto in = [&](double lo, double hi) {
+        return lo + (hi - lo) * (static_cast<double>(gen()) / 4294967296.0);
+    };
+    std::vector<TimingQuery> batch;
+    for (std::size_t i = 0; i < 48; ++i) {
+        TimingQuery q;
+        const std::size_t arc = i % 6;
+        const std::size_t variant = (i / 6) % 8;
+        if (arc <= 1) {
+            q.cell = "INV_X1";
+            q.pins = {"A"};
+            q.inputs_rise = arc == 1;
+            if (arc == 1) q.corner = kPinnedCorner;
+        } else if (arc <= 3) {
+            q.cell = "NOR2";
+            q.pins = {"A", "B"};
+            q.inputs_rise = arc == 3;
+        } else {
+            q.cell = "NAND3";
+            q.pins = {"A", "B", "C"};
+            q.inputs_rise = true;
+        }
+        const std::size_t n = q.pins.size();
+        const bool knot = variant == 7;
+        for (std::size_t p = 0; p < n; ++p)
+            q.slews.push_back(knot ? (n == 3 ? 200e-12 : 50e-12)
+                                   : in(55e-12, 180e-12));
+        double u[3] = {0.0, in(-1.0, 1.0), in(-0.9, 0.9)};
+        if (variant == 3) {  // below the skew hull
+            u[1] = in(-4.0, -2.0);
+            u[2] = u[1] + in(0.2, 0.6);
+        } else if (variant == 5) {  // above the skew hull
+            u[1] = in(2.0, 4.0);
+            u[2] = in(-0.5, 0.5);
+        } else if (knot) {
+            u[1] = n == 3 ? 1.0 : 1.25;
+            u[2] = n == 3 ? 0.2 : 0.0;  // (max, diff) = (1, 0.8)
+        }
+        if (n > 1) q.skews = skews_for(q.slews, u);
+        q.load_cap = knot ? 8e-15 : in(1.5e-15, 7e-15);
+        if (variant == 1 || variant == 5) {  // all four Ceff rounds
+            q.load_cap = in(0.5e-15, 2e-15);
+            q.c_near = in(0.3e-15, 1e-15);
+            q.r_wire = in(300.0, 900.0);
+            q.c_far = in(1.5e-15, 3.5e-15);
+        } else if (variant == 2) {  // converges early: beyond the load hull
+            q.load_cap = in(9e-15, 12e-15);
+            q.c_near = 1e-15;
+            q.r_wire = in(100.0, 400.0);
+            q.c_far = in(2e-15, 4e-15);
+        } else if (variant == 6) {  // no far cap: Ceff is the lumped total
+            q.c_near = in(0.5e-15, 2e-15);
+            q.r_wire = 250.0;
+        }
+        batch.push_back(std::move(q));
+    }
+    return batch;
+}
+
+struct PinnedResult {
+    double delay;
+    double slew;
+};
+
+// Captured from an evaluator that ran one TableView::at per lookup, the
+// reference arithmetic; any LUT evaluator must reproduce them bit for bit.
+constexpr PinnedResult kPinnedLut[] = {
+    {0x1.4ebfa77e914p-35, 0x1.04634ffe9c212p-34},
+    {0x1.6d4f2b3857748p-35, 0x1.fdc3dd16b3848p-35},
+    {0x1.3c3fbd17ac6c4p-35, 0x1.cf5808ad17803p-35},
+    {-0x1.8e475103efb03p-35, 0x1.527df817dc1a2p-35},
+    {0x1.191e8dcc770f2p-35, 0x1.4db39bfebc887p-33},
+    {0x1.5c7a4cce4472p-36, 0x1.3868072bb964bp-33},
+    {0x1.35815fedd7514p-35, 0x1.e1b43119d7f3bp-35},
+    {0x1.580e55b6bbef7p-35, 0x1.ea5452078e15dp-35},
+    {0x1.61b2057758e28p-35, 0x1.d83ba71a8ce7p-35},
+    {-0x1.45e52b7e2c50cp-35, 0x1.3f3536bc8ef47p-35},
+    {0x1.a87d0ed590776p-35, 0x1.4f0af95764afp-33},
+    {0x1.185c78e4e05cp-35, 0x1.186935cd16549p-33},
+    {0x1.2db67a41028e1p-35, 0x1.a8cdef548df4ep-35},
+    {0x1.3b4411bad2a45p-35, 0x1.ab273dddc1effp-35},
+    {0x1.a1a8441e0532fp-35, 0x1.0fad4fae79511p-34},
+    {0x1.2a9da7ba53609p-36, 0x1.58db1e2987786p-35},
+    {0x1.9e461ffe74c9cp-36, 0x1.46537befe0a53p-33},
+    {0x1.c8ac644aa62f8p-35, 0x1.3e65ea9429fbp-33},
+    {0x1.69aaeb132719fp-35, 0x1.103344d717e3ep-34},
+    {0x1.82091f2f674cfp-35, 0x1.10b69e8c187aap-34},
+    {0x1.bb2060c5da13ap-36, 0x1.6c764ca829b43p-34},
+    {-0x1.6fbfc2ed3d98ep-32, 0x1.a6c6729153038p-34},
+    {-0x1.4dbb1ad3e091fp-35, 0x1.89b85e7a4cd7cp-33},
+    {-0x1.a7ead9b88926p-36, 0x1.42034130c7e45p-33},
+    {0x1.4dd3bee25d30ap-35, 0x1.03fbcb1b08b84p-34},
+    {0x1.04339ba43b522p-35, 0x1.591f7d0c5f2eep-35},
+    {0x1.a94ebb6b88396p-35, 0x1.2efb2a95c19cap-34},
+    {0x1.823a2faba3de2p-36, 0x1.019b3de6573b9p-35},
+    {0x1.52d29aa3e9a37p-35, 0x1.2aec51334dca8p-33},
+    {0x1.d728b35353c58p-37, 0x1.3d888913419f4p-33},
+    {0x1.ee48d44cdf206p-36, 0x1.6c96f07f04c15p-35},
+    {0x1.1d2c7515d0cabp-35, 0x1.8d9a40055e9cep-35},
+    {0x1.fe231e68319dp-36, 0x1.a2babeb245879p-35},
+    {-0x1.0125c04511c2fp-32, 0x1.cdec3da4e3dcbp-35},
+    {-0x1.3ad86aee80028p-34, 0x1.10622b011f743p-34},
+    {-0x1.37c9cbbaea548p-34, 0x1.8a73ae1582155p-34},
+    {0x1.2cb638779318fp-35, 0x1.eae789ff48ec3p-35},
+    {0x1.2f7d1165b267dp-35, 0x1.b009b9c775c0ep-35},
+    {0x1.7595689fbd19bp-35, 0x1.0f1493d45a6d5p-34},
+    {0x1.6c40ec87a296ep-36, 0x1.001bf8d85616ap-35},
+    {0x1.87dec67083036p-35, 0x1.2bab7253fdfbdp-33},
+    {0x1.f973fbd239ecbp-35, 0x1.53d920a53b5dfp-33},
+    {0x1.f772a5cb785f8p-36, 0x1.5a0df6fe735ecp-35},
+    {0x1.1bb49a10db464p-35, 0x1.7ee52dc30392p-35},
+    {0x1.5109cea75c9aep-35, 0x1.fbec6757e2ddcp-35},
+    {-0x1.0226328bb1f8ep-35, 0x1.632f7e5ff246cp-35},
+    {0x1.6beb2dc7c6a4p-36, 0x1.bc939161a507ap-33},
+    {0x1.6beb2dc7c6a4p-36, 0x1.bc939161a507ap-33},
+};
+
+TEST(TimingService, PinnedLutResultsAreBitIdentical) {
+    auto repo = library_repo();
+    TimingService service(*repo, pinned_serve_options());
+    const std::vector<TimingQuery> batch = pinned_batch();
+    // First pass builds (and warms) every surface; the pinned values are
+    // the warm answers.
+    service.run_batch(batch);
+    const std::vector<TimingResult> r = service.run_batch(batch);
+    ASSERT_EQ(r.size(), batch.size());
+    ASSERT_EQ(std::size(kPinnedLut), r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        ASSERT_TRUE(r[i].valid) << i << ": " << r[i].error;
+        EXPECT_EQ(r[i].path, ResultPath::kLut) << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r[i].delay),
+                  std::bit_cast<std::uint64_t>(kPinnedLut[i].delay))
+            << i << ": delay " << std::hexfloat << r[i].delay;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r[i].slew),
+                  std::bit_cast<std::uint64_t>(kPinnedLut[i].slew))
+            << i << ": slew " << std::hexfloat << r[i].slew;
     }
 }
 
