@@ -1,5 +1,5 @@
-// Serving-layer benchmark and correctness gates: binary vs text model
-// store (size, cold-load latency, bit-exact round trip), TimingService
+// Serving-layer benchmark and correctness gates: binary model store (size,
+// cold-load latency, bit-exact round trip), TimingService
 // batch throughput (LUT fast path, exact transient path, serial-vs-parallel
 // determinism), the 3-pin MIS arc path (6-D characterize-on-miss + surface
 // build + warm throughput), the RC pi-load path (throughput + a loose
@@ -31,7 +31,6 @@
 #include "bench_util.h"
 #include "common/parallel.h"
 #include "core/characterizer.h"
-#include "core/model_io.h"
 #include "core/model_scenarios.h"
 #include "net/client.h"
 #include "net/query_text.h"
@@ -149,31 +148,19 @@ int main() {
     const fs::path dir = "serve_store_bench";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    const std::string text_path = (dir / "nor.csm").string();
     const std::string bin_path = (dir / "nor.csm.bin").string();
 
     // --- model store: size, cold load, fidelity --------------------------
-    core::save_model(text_path, nor);
     serve::save_model_binary(bin_path, nor);
-    const auto text_bytes = fs::file_size(text_path);
     const auto bin_bytes = fs::file_size(bin_path);
-
-    const double load_text_ms =
-        best_of(3, [&] { (void)core::load_model(text_path); });
     const double load_bin_ms =
         best_of(3, [&] { (void)serve::load_model_binary(bin_path); });
 
     check.check(binary_bytes(serve::load_model_binary(bin_path)) ==
                     binary_bytes(nor),
                 "binary store round trip is bit-exact");
-    check.check(binary_bytes(core::load_model(text_path)) ==
-                    binary_bytes(nor),
-                "text store round trip is bit-exact (hexfloat)");
-    check.check(bin_bytes < text_bytes,
-                "binary store is smaller than the text store");
-    // The cold-load latency comparison is reported (below and in the JSON)
-    // but not gated: sub-ms wall clocks are noise-dominated on shared CI
-    // runners.
+    // The cold-load latency is reported (below and in the JSON) but not
+    // gated: sub-ms wall clocks are noise-dominated on shared CI runners.
 
     // --- timing service: surface build + warm batch throughput -----------
     serve::RepositoryOptions ropt;
@@ -542,13 +529,8 @@ int main() {
     fs::remove_all(dir);
 
     // --- report ----------------------------------------------------------
-    std::printf("# store: text %zu B, binary %zu B (%.2fx smaller); cold "
-                "load text %.3f ms, binary %.3f ms (%.1fx faster)\n",
-                static_cast<std::size_t>(text_bytes),
-                static_cast<std::size_t>(bin_bytes),
-                static_cast<double>(text_bytes) /
-                    static_cast<double>(bin_bytes),
-                load_text_ms, load_bin_ms, load_text_ms / load_bin_ms);
+    std::printf("# store: binary %zu B; cold load %.3f ms\n",
+                static_cast<std::size_t>(bin_bytes), load_bin_ms);
     std::printf("# serve: surfaces built in %.1f ms; warm LUT batch %zu "
                 "queries -> %.0f q/s (%zu threads), %.0f q/s serial; exact "
                 "transient path %.0f q/s (fixed grid %.0f q/s)\n",
@@ -578,15 +560,10 @@ int main() {
             return 1;
         }
         std::fprintf(f, "{\n  \"threads\": %zu,\n", hardware_threads());
-        std::fprintf(
-            f,
-            "  \"model_store\": {\"text_bytes\": %zu, \"binary_bytes\": "
-            "%zu, \"size_ratio\": %.3f, \"cold_load_text_ms\": %.4f, "
-            "\"cold_load_binary_ms\": %.4f, \"load_speedup\": %.2f},\n",
-            static_cast<std::size_t>(text_bytes),
-            static_cast<std::size_t>(bin_bytes),
-            static_cast<double>(text_bytes) / static_cast<double>(bin_bytes),
-            load_text_ms, load_bin_ms, load_text_ms / load_bin_ms);
+        std::fprintf(f,
+                     "  \"model_store\": {\"binary_bytes\": %zu, "
+                     "\"cold_load_binary_ms\": %.4f},\n",
+                     static_cast<std::size_t>(bin_bytes), load_bin_ms);
         std::fprintf(
             f,
             "  \"timing_service\": {\"surface_build_ms\": %.2f, "

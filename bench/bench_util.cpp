@@ -146,14 +146,18 @@ spice::Circuit make_chain_circuit(const cells::CellLibrary& lib, int stages) {
 }
 
 double time_newton_cycle_us(const cells::CellLibrary& lib, int stages) {
-    using Clock = std::chrono::steady_clock;
     spice::Circuit c = make_chain_circuit(lib, stages);
     const spice::DcResult op = spice::solve_dc(c);
+    return time_newton_cycle_us(c, op.x);
+}
+
+double time_newton_cycle_us(spice::Circuit& c, const std::vector<double>& x) {
+    using Clock = std::chrono::steady_clock;
     spice::SolverWorkspace& ws = c.workspace();
 
     spice::SimContext ctx;
     ctx.mode = spice::SimContext::Mode::kDc;
-    ctx.x = &op.x;
+    ctx.x = &x;
     const int reps = 2000;
     const auto t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {

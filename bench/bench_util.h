@@ -99,6 +99,12 @@ BenchTiming time_reps_ms(int reps, const std::function<void()>& body);
 // the flattened chain, microseconds.
 double time_newton_cycle_us(const cells::CellLibrary& lib, int stages);
 
+// The same Newton cycle on an already-built circuit at the operating
+// point `x`. Repeated calls reuse the circuit's workspace, so A/B timings
+// on one circuit differ only in what the caller toggles between them.
+double time_newton_cycle_us(spice::Circuit& circuit,
+                            const std::vector<double>& x);
+
 // Per-assembly cost of the device-evaluation pass alone (no solve) on the
 // sparse workspace: `batched` runs the SoA evaluate-and-stamp entry point
 // the solvers use; otherwise the legacy virtual per-device loop writes the

@@ -1,6 +1,9 @@
-// Library characterization flow: build CSM models for a set of cells, write
-// them to .csm files (plain text), and reload them - the cache pattern a
-// timing tool would use so characterization runs once per library release.
+// Library characterization flow: build CSM models for a set of cells, put
+// them in the binary model store (<out_dir>/<key>.csm.bin, named by
+// serve::ModelKey) and reload them -- the cache pattern a timing tool would
+// use so characterization runs once per library release. The store packs
+// directly for serving:
+//   $ timing_serverd --build-pack lib.mcsmpack --model-dir <out_dir>
 //
 // The jobs are independent and fan out over the process thread pool; each
 // characterization runs its own testbench fixtures and solver workspaces.
@@ -18,14 +21,16 @@
 #include "cells/library.h"
 #include "common/parallel.h"
 #include "core/characterizer.h"
-#include "core/model_io.h"
+#include "serve/repository.h"
 #include "tech/tech130.h"
 
 using namespace mcsm;
 
 int main(int argc, char** argv) {
     const std::string out_dir = argc > 1 ? argv[1] : "models";
-    std::filesystem::create_directories(out_dir);
+    serve::RepositoryOptions store;
+    store.dir = out_dir;
+    serve::ModelRepository repo(nullptr, store);
 
     const tech::Technology tech = tech::make_tech130();
     const cells::CellLibrary lib(tech);
@@ -53,7 +58,7 @@ int main(int argc, char** argv) {
     struct Row {
         core::CsmModel model;
         double ms = 0.0;
-        std::string file;
+        serve::ModelKey key;
     };
     std::vector<Row> rows(jobs.size());
 
@@ -70,9 +75,8 @@ int main(int argc, char** argv) {
         rows[i].ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-        rows[i].file = out_dir + "/" + std::string(job.cell) + "_" +
-                       core::to_string(job.kind) + ".csm";
-        core::save_model(rows[i].file, rows[i].model);
+        rows[i].key = serve::ModelKey{job.cell, job.kind, job.pins, {}};
+        repo.put(rows[i].key, rows[i].model);
     });
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - wall_start)
@@ -81,25 +85,30 @@ int main(int argc, char** argv) {
     std::printf("%-10s %-14s %6s %10s %10s  %s\n", "cell", "kind", "dims",
                 "entries", "char/ms", "file");
     double sum_ms = 0.0;
+    // A second repository without a library can only read the store: every
+    // get() is a disk load through the checksum and the lint gate.
+    serve::ModelRepository reader(nullptr, store);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const Job& job = jobs[i];
         const Row& row = rows[i];
+        const std::string file = repo.binary_path(row.key);
 
         // Round-trip check: the reloaded model must be usable.
-        const core::CsmModel reloaded = core::load_model(row.file);
-        reloaded.check_consistent();
+        reader.get(row.key)->check_consistent();
 
         std::printf("%-10s %-14s %6zu %10zu %10.1f  %s (%.1f kB)\n", job.cell,
                     core::to_string(job.kind), row.model.dim(),
-                    row.model.i_out.value_count(), row.ms, row.file.c_str(),
-                    static_cast<double>(
-                        std::filesystem::file_size(row.file)) / 1024.0);
+                    row.model.i_out.value_count(), row.ms, file.c_str(),
+                    static_cast<double>(std::filesystem::file_size(file)) /
+                        1024.0);
         sum_ms += row.ms;
     }
     std::printf("\n%zu jobs on %zu threads: %.0f ms wall"
                 " (%.0f ms of single-job work, %.2fx)\n",
                 jobs.size(), hardware_threads(), wall_ms, sum_ms,
                 sum_ms / wall_ms);
-    std::printf("reload with core::load_model(path) - see quickstart.cpp\n");
+    std::printf("serve them with: timing_serverd --build-pack lib.mcsmpack "
+                "--model-dir %s\n",
+                out_dir.c_str());
     return 0;
 }

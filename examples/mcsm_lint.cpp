@@ -1,6 +1,6 @@
 // mcsm_lint: standalone pre-flight auditor for MCSM store artifacts.
 //
-// Walks the given store files (.csm.bin / .csm / .surf.bin) or directories
+// Walks the given store files (.csm.bin / .surf.bin) or directories
 // of them through analysis::audit_path and prints every diagnostic --
 // severity, rule id, offending objects, fix hint. The same checks gate
 // ModelRepository loads (RepositoryOptions::lint_on_load); this tool runs
@@ -34,7 +34,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: mcsm_lint [--strict] [--demo] [path ...]\n"
-    "  path      model/surface store file (.csm.bin, .csm, .surf.bin) or a\n"
+    "  path      model/surface store file (.csm.bin, .surf.bin) or a\n"
     "            directory of them\n"
     "  --strict  exit 1 on warnings too, not just errors\n"
     "  --demo    lint built-in demonstration artifacts (no files needed)\n";

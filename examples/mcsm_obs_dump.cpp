@@ -9,9 +9,10 @@
 //                                  also capture a Chrome trace-event JSON
 //                                  of the workload (load in Perfetto)
 //
-// Long-running tools surface the same data differently: timing_server
-// --stats prints this snapshot at exit, MCSM_OBS_JSON writes it as JSON,
-// and MCSM_TRACE captures a trace without any code changes.
+// Long-running tools surface the same data differently: the daemon's
+// "stats" protocol line returns it as JSON, timing_serverd --demo prints
+// it at exit (and writes it to MCSM_OBS_JSON when set), and MCSM_TRACE
+// captures a trace without any code changes.
 #include <cstdio>
 #include <string>
 

@@ -12,6 +12,7 @@
 #include "core/model_io.h"
 #include "core/model_scenarios.h"
 #include "engine/scenarios.h"
+#include "serve/repository.h"
 #include "tech/tech130.h"
 #include "wave/metrics.h"
 
@@ -38,9 +39,18 @@ int main() {
                 nor2.pin_count(), nor2.internal_count(), nor2.dim(),
                 nor2.i_out.value_count());
 
-    // Models are plain text on disk - cache them across runs.
+    // Cache models across runs in the binary store: one checksummed,
+    // bit-exact models/<key>.csm.bin per model. A fresh repository reads it
+    // back without a cell library, and `timing_serverd --build-pack
+    // nor2.mcsmpack --model-dir models` bundles the store for serving.
+    serve::RepositoryOptions store;
+    store.dir = "models";
+    const serve::ModelKey key = serve::ModelKey::arc("NOR2", {"A", "B"});
+    serve::ModelRepository(nullptr, store).put(key, nor2);
+    const std::shared_ptr<const core::CsmModel> reloaded =
+        serve::ModelRepository(nullptr, store).get(key);
+    // Plain text is a write-only, human-readable export of the tables.
     core::save_model("nor2_mcsm.csm", nor2);
-    const core::CsmModel reloaded = core::load_model("nor2_mcsm.csm");
 
     // 3. Build a MIS stimulus: the paper's worst case, where the input
     //    history ('10' vs '01') decides the initial stack-node charge.
@@ -54,7 +64,7 @@ int main() {
 
     core::ModelLoadSpec load;
     load.cap = 5e-15;
-    core::ModelCell model_bench(reloaded, {{"A", stim.a}, {"B", stim.b}},
+    core::ModelCell model_bench(*reloaded, {{"A", stim.a}, {"B", stim.b}},
                                 load);
     const wave::Waveform model_out =
         model_bench.run(topt).node_waveform(model_bench.out_node());

@@ -2,10 +2,14 @@
 // serving stack, plus the pack-store utilities that feed it. One binary
 // covers the operational loop: build an mmap pack from a per-file store,
 // serve it over unix/TCP sockets with micro-batching, hot-reload it in
-// place, and talk to a running daemon as a client. Run with --help.
+// place, talk to a running daemon as a client (a batch file piped through
+// --client), and run a self-checking demo sweep across the full scenario
+// space (1/2/3-pin MIS arcs, linear and RC pi loads, Vdd/temp corners).
+// Run with --help for the usage and the query grammar.
 #include <csignal>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,27 +36,33 @@ constexpr const char* kUsage = R"(timing_serverd -- socket timing server over an
 
 Usage:
   timing_serverd [--unix <path>] [--port <n>] [serve options]
-      Serve the line protocol (same query grammar as timing_server; see
-      timing_server --help) on a unix socket and/or TCP loopback port.
-      --port 0 binds an ephemeral port; the bound address is announced on
-      stdout as "# listening unix=<path> tcp=<port>" before serving.
-      SIGINT/SIGTERM flush the pending batch, drain responses and exit.
+      Serve the line protocol (grammar below) on a unix socket and/or TCP
+      loopback port. --port 0 binds an ephemeral port; the bound address
+      is announced on stdout as "# listening unix=<path> tcp=<port>"
+      before serving. SIGINT/SIGTERM flush the pending batch, drain
+      responses and exit.
 
   timing_serverd --build-pack <pack> --model-dir <dir> [--surface-dir <dir>]
       Bundle a per-file binary store into one mmap-able pack file
       (published durably: fsync + rename) and exit.
 
   timing_serverd --client --unix <path> | --client --port <n>
-      Pipe stdin to a running daemon and stream its responses to stdout
-      (write side half-closes at EOF, so the daemon flushes the final
-      batch). Sized for operational batches, not bulk transfers: input is
-      sent before responses are read.
+      Pipe stdin (a batch file, one query or control line per line) to a
+      running daemon and stream its responses to stdout (write side
+      half-closes at EOF, so the daemon flushes the final batch). Sized
+      for operational batches, not bulk transfers: input is sent before
+      responses are read.
 
-  timing_serverd --demo
+  timing_serverd --demo [--model-dir <dir>] [--surface-dir <dir>]
       Self-contained smoke run (also the CTest wiring): starts an
-      in-process server on a unix socket, exercises queries, flush, stats
-      and malformed lines through a real client connection, prints the
-      server counters and exits.
+      in-process server on a unix socket and sends a built-in 660-query
+      sweep (1/2/3-pin MIS arcs, RC pi loads, a 1.1 V / 85 degC corner)
+      twice through a real client connection -- cold, then warm -- plus
+      ping, flush, stats and a malformed line. Exits 1 when any sweep
+      result is invalid. Prints the server counters and the
+      observability snapshot (cache hit/miss counters, per-query latency
+      percentiles) to stderr at exit. With the store flags, the
+      characterized models and built surfaces are written there.
 
 Serve options:
   --pack <path>        mmap pack served zero-parse (models + surfaces);
@@ -60,13 +70,65 @@ Serve options:
   --reload-ms <n>      poll the pack file for replacement every n ms
                        (a "reload" protocol line forces a check any time)
   --model-dir <dir>    per-file model store fallback; misses characterize
-                       on demand and write back
-  --surface-dir <dir>  per-file surface store fallback
+                       on demand and write back (corner models under
+                       corner-suffixed keys)
+  --surface-dir <dir>  per-file surface store fallback; cold surface
+                       builds are persisted and reloaded by later runs
   --batch-max <n>      micro-batch size cap              (default 512)
   --linger-us <n>      micro-batch latency bound in us   (default 200)
   --max-pending <n>    admission cap; excess queries get "err <id> busy"
   --max-conns <n>      concurrent connection cap         (default 64)
   --threads <n>        TimingService batch fan-out       (default: cores)
+
+Query line (whitespace-separated; '#' starts a comment):
+  <cell> <pins> <rise|fall> <slews_ps> <skews_ps> <load_fF> [option...]
+
+  <pins>      1-3 comma-separated switching pins (2-3 -> MIS arc served
+              from a skew-aware surface)
+  <slews_ps>  per-pin 0-100% input ramps [ps], comma-separated
+  <skews_ps>  per-pin edge offsets [ps], comma-separated; a lone "0"
+              means simultaneous switching for any pin count
+  <load_fF>   lumped output load [fF]
+
+  options (any order, after the load):
+    pi=<c_near_fF>:<r_ohm>:<c_far_fF>   RC pi load on top of load_fF
+    vdd=<V>                             supply corner (default: nominal)
+    temp=<degC>                         temperature corner (default 25)
+    exact                               force the transient path
+
+  examples:
+    NOR2 A,B fall 80,120 0,50 4
+    NAND3 A,B,C rise 80,100,120 0,40,80 6 pi=1:300:4 vdd=1.1 temp=85
+    INV_X1 A rise 100 0 2 exact
+
+  A 3-pin arc is served from a 6-D surface ([slew_a, slew_b, slew_c,
+  skew_b, skew_c, load]); its first (cold) query characterizes a 6-D model
+  and runs one CSM transient per surface knot -- about 2k transients with
+  the default knots, vs ~450 for a 2-pin arc -- so warm it offline and
+  serve it from a pack, or persist surfaces via --surface-dir.
+
+Control lines:
+  ping    -> "pong"
+  flush   -> execute the pending batch now
+  stats   -> "stats <nbytes>" + the observability snapshot as JSON
+  reload  -> re-check the pack file: "reload ok|noop <generation>"
+
+Result lines (one per query, in the connection's submission order):
+  ok <id> <delay_s> <slew_s> <lut|tran>
+  err <id> <message...>
+  <id> numbers a connection's query lines from 1; doubles are printed in
+  shortest round-trip form.
+
+Environment:
+  MCSM_TRACE=<path>         capture a Chrome trace-event JSON of the run
+                            (load in Perfetto / chrome://tracing); spans
+                            cover batches, queries, characterizations and
+                            SPICE solves.
+  MCSM_TRACE_DETAIL=1       with MCSM_TRACE: also emit per-Newton-phase
+                            spans (assemble/factor/solve) -- much larger.
+  MCSM_OBS_JSON=<path>      --demo: write the observability snapshot
+                            (counters, gauges, latency histograms) as JSON
+                            at exit.
 )";
 
 net::NetServer* g_server = nullptr;
@@ -216,8 +278,9 @@ struct ServerStack {
         serve::RepositoryOptions ropt;
         ropt.dir = a.model_dir;
         ropt.pack = pack;
-        // Demo-grade characterize-on-miss settings (see timing_server): a
-        // production daemon serves a pre-characterized pack/store.
+        // Demo-grade characterize-on-miss settings: a production daemon
+        // serves a pack/store characterized offline with the full
+        // paper-faithful options.
         ropt.char_options.transient_caps = false;
         ropt.char_options.grid_points = 7;
         ropt.char_options_mis3.grid_points = 4;
@@ -227,6 +290,14 @@ struct ServerStack {
         sopt.surface_dir = a.surface_dir;
         sopt.pack = pack;
         sopt.threads = static_cast<std::size_t>(a.threads);
+        if (a.demo) {
+            // Keep the demo's cold 3-pin surface small; real servers keep
+            // the stock grid and amortize it through a pack or store.
+            sopt.slew_knots_mis3 = {50e-12, 280e-12};
+            sopt.skew_knots_mis3 = {-1.5, 0.0, 1.5};
+            sopt.skew_pair_knots_mis3 = {-1.5, 0.0, 1.5};
+            sopt.load_knots_mis3 = {2e-15, 20e-15};
+        }
         service = std::make_unique<serve::TimingService>(*repo, sopt);
 
         net::NetServerOptions nopt;
@@ -270,10 +341,61 @@ int run_daemon(const Args& a) {
     return 0;
 }
 
+// The demo sweep: 600 1/2-pin queries over INV_X1, NOR2 and NAND2 with a
+// slice of RC pi loads and a hot low-voltage corner, then a 3-pin MIS
+// section (every combination of leading/lagging B and C edges through the
+// NAND3 stack), small because its cold cost is a 6-D model
+// characterization plus one transient per surface knot.
+std::vector<serve::TimingQuery> demo_sweep() {
+    std::vector<serve::TimingQuery> batch;
+    for (int i = 0; i < 600; ++i) {
+        serve::TimingQuery q;
+        if (i % 3 == 0) {
+            q.cell = "INV_X1";
+            q.pins = {"A"};
+            q.slews = {(30 + 12.0 * (i % 17)) * 1e-12};
+        } else {
+            q.cell = i % 3 == 1 ? "NOR2" : "NAND2";
+            q.pins = {"A", "B"};
+            q.slews = {(40 + 8.0 * (i % 13)) * 1e-12,
+                       (50 + 9.0 * (i % 11)) * 1e-12};
+            q.skews = {0.0, (static_cast<double>(i % 21) - 10.0) * 15e-12};
+        }
+        q.inputs_rise = (i % 2) == 1;
+        q.load_cap = (2 + (i % 8)) * 1e-15;
+        if (i % 7 == 3) {
+            q.c_near = 1e-15;
+            q.r_wire = 400.0 + 40.0 * (i % 9);
+            q.c_far = (2 + (i % 5)) * 1e-15;
+        }
+        if (i % 5 == 2) q.corner = serve::Corner{1.1, 85.0};
+        batch.push_back(q);
+    }
+    for (int i = 0; i < 60; ++i) {
+        serve::TimingQuery q;
+        q.cell = "NAND3";
+        q.pins = {"A", "B", "C"};
+        q.inputs_rise = true;  // NMOS stack discharge: the stack-effect arc
+        q.slews = {(60 + 10.0 * (i % 9)) * 1e-12,
+                   (70 + 12.0 * (i % 7)) * 1e-12,
+                   (80 + 14.0 * (i % 5)) * 1e-12};
+        q.skews = {0.0, (static_cast<double>(i % 7) - 3.0) * 30e-12,
+                   (static_cast<double>(i % 11) - 5.0) * 20e-12};
+        q.load_cap = (2 + (i % 6) * 3) * 1e-15;
+        if (i % 4 == 1) {
+            q.c_near = 1e-15;
+            q.r_wire = 500.0;
+            q.c_far = 4e-15;
+        }
+        batch.push_back(q);
+    }
+    return batch;
+}
+
 int run_demo(Args a) {
     // Everything in the working directory (CTest runs each test in its
-    // own build dir); a tiny single-pin arc keeps the cold cost at one
-    // characterization plus a 2-D surface build.
+    // own build dir). A small batch cap makes the sweep cross many
+    // micro-batches and leaves a remainder for "flush" to execute.
     const std::string sock = "timing_serverd_demo.sock";
     a.batch_max = 8;
     a.linger_us = 1000;
@@ -282,29 +404,61 @@ int run_demo(Args a) {
     std::thread loop([&] { stack.server->run(); });
 
     int failures = 0;
-    const auto expect = [&](bool ok, const char* what) {
+    const auto expect = [&](bool ok, const std::string& what) {
         if (!ok) {
             ++failures;
-            std::fprintf(stderr, "# demo FAIL: %s\n", what);
+            std::fprintf(stderr, "# demo FAIL: %s\n", what.c_str());
         }
     };
     try {
         net::LineClient client = net::LineClient::connect_unix(sock);
         expect(client.request("ping") == "pong", "ping/pong");
-        client.send_line("INV_X1 A rise 100 0 2");
-        client.send_line("INV_X1 A rise 140 0 4");
+
+        const std::vector<serve::TimingQuery> sweep = demo_sweep();
+        std::string lines;
+        for (const serve::TimingQuery& q : sweep) {
+            lines += net::format_query_line(q);
+            lines += '\n';
+        }
+        lines += "flush\n";
+        // Pass 1 is cold (characterize-on-miss + surface builds); pass 2
+        // is the warm steady state with every arc surface cached.
+        std::uint64_t next_id = 1;
+        for (const char* pass : {"cold", "warm"}) {
+            const auto t0 = std::chrono::steady_clock::now();
+            client.send_text(lines);
+            std::size_t invalid = 0;
+            std::size_t misordered = 0;
+            for (std::size_t i = 0; i < sweep.size(); ++i, ++next_id) {
+                std::uint64_t id = 0;
+                const serve::TimingResult r =
+                    net::parse_result_line(client.recv_line(), id);
+                if (id != next_id) ++misordered;
+                if (!r.valid && invalid++ < 3)
+                    std::fprintf(stderr, "# demo: query %zu (%s): %s\n", i,
+                                 sweep[i].cell.c_str(), r.error.c_str());
+            }
+            const double ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+            std::fprintf(stderr,
+                         "# demo %s pass: %zu queries in %.1f ms (%.0f "
+                         "queries/sec, surfaces cached: %zu)\n",
+                         pass, sweep.size(), ms,
+                         1e3 * static_cast<double>(sweep.size()) / ms,
+                         stack.service->surface_count());
+            expect(invalid == 0 && misordered == 0,
+                   std::string(pass) + " pass: " + std::to_string(invalid) +
+                       " invalid and " + std::to_string(misordered) +
+                       " out-of-order sweep result(s)");
+        }
+
         client.send_line("not a query at all");
         client.send_line("flush");
-        for (int i = 0; i < 3; ++i) {
-            std::uint64_t id = 0;
-            const serve::TimingResult r =
-                net::parse_result_line(client.recv_line(), id);
-            if (id <= 2)
-                expect(r.valid && r.delay > 0.0 && r.slew > 0.0,
-                       "query result valid");
-            else
-                expect(!r.valid, "malformed line reported as error");
-        }
+        std::uint64_t id = 0;
+        expect(!net::parse_result_line(client.recv_line(), id).valid &&
+                   id == next_id,
+               "malformed line reported as error");
         const std::string stats = client.request("stats");
         expect(stats.rfind("stats ", 0) == 0, "stats header");
         const std::size_t nbytes = static_cast<std::size_t>(
@@ -321,6 +475,14 @@ int run_demo(Args a) {
     loop.join();
     g_server = nullptr;
     print_counters(*stack.server);
+    std::fputs(obs::snapshot().format_human().c_str(), stderr);
+    if (const char* json_path = std::getenv("MCSM_OBS_JSON")) {
+        if (obs::write_snapshot_json(json_path))
+            std::fprintf(stderr, "# wrote obs snapshot %s\n", json_path);
+        else
+            std::fprintf(stderr, "# cannot write obs snapshot %s\n",
+                         json_path);
+    }
     return failures == 0 ? 0 : 1;
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "core/model_io.h"
 
 namespace mcsm::analysis {
 
@@ -253,11 +252,9 @@ LintReport audit_file(const std::string& path) {
             report.merge(audit_model(serve::load_model_binary(path)));
         } else if (ends_with(path, serve::kSurfaceExt)) {
             report.merge(audit_surface(serve::load_surface_binary(path)));
-        } else if (ends_with(path, serve::kTextModelExt)) {
-            report.merge(audit_model(core::load_model(path)));
         } else {
-            unreadable("unknown store extension (expected .csm.bin, .csm, "
-                       "or .surf.bin)");
+            unreadable("unknown store extension (expected .csm.bin or "
+                       ".surf.bin)");
         }
     } catch (const ModelError& e) {
         unreadable(e.what());
@@ -281,8 +278,7 @@ LintReport audit_path(const std::string& path) {
             if (!entry.is_regular_file()) continue;
             const std::string p = entry.path().string();
             if (ends_with(p, serve::kBinaryModelExt) ||
-                ends_with(p, serve::kSurfaceExt) ||
-                ends_with(p, serve::kTextModelExt))
+                ends_with(p, serve::kSurfaceExt))
                 files.push_back(p);
         }
         std::sort(files.begin(), files.end());

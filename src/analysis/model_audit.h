@@ -46,7 +46,7 @@ LintReport audit_model(const core::CsmModel& model);
 
 LintReport audit_surface(const serve::ArcSurfaceData& surface);
 
-// Audits one store file by extension (.csm.bin / .csm / .surf.bin); a file
+// Audits one store file by extension (.csm.bin / .surf.bin); a file
 // that fails to load yields a store.unreadable error instead of throwing.
 LintReport audit_file(const std::string& path);
 

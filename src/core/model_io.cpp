@@ -1,34 +1,13 @@
 #include "core/model_io.h"
 
-#include <cmath>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.h"
 #include "common/fp_text.h"
 #include "lut/table_io.h"
 
 namespace mcsm::core {
-
-namespace {
-
-ModelKind kind_from_string(const std::string& s) {
-    if (s == "SIS") return ModelKind::kSis;
-    if (s == "MIS-baseline") return ModelKind::kMisBaseline;
-    if (s == "MCSM") return ModelKind::kMcsm;
-    throw ModelError("read_model: unknown model kind " + s);
-}
-
-// Token-wise double read: accepts the hexfloat tokens written here plus the
-// decimal values of legacy cache files.
-bool read_double(std::istream& is, double& out) {
-    std::string token;
-    return static_cast<bool>(is >> token) && parse_exact_double(token, out);
-}
-
-}  // namespace
 
 void write_model(std::ostream& os, const CsmModel& model) {
     model.check_consistent();
@@ -67,98 +46,11 @@ void write_model(std::ostream& os, const CsmModel& model) {
     os << "endmodel\n";
 }
 
-CsmModel read_model(std::istream& is) {
-    std::string word;
-    std::string version;
-    require(static_cast<bool>(is >> word >> version) && word == "csmmodel" &&
-                version == "v1",
-            "read_model: bad header");
-
-    CsmModel m;
-    std::string kind_str;
-    require(static_cast<bool>(is >> word >> kind_str) && word == "kind",
-            "read_model: missing kind");
-    m.kind = kind_from_string(kind_str);
-    require(static_cast<bool>(is >> word >> m.cell_name) && word == "cell",
-            "read_model: missing cell");
-    require(static_cast<bool>(is >> word) && word == "vdd" &&
-                read_double(is, m.vdd),
-            "read_model: missing vdd");
-    require(std::isfinite(m.vdd) && m.vdd > 0.0,
-            "read_model: vdd = " + std::to_string(m.vdd) +
-                " (must be finite and > 0)");
-    require(static_cast<bool>(is >> word) && word == "dv" &&
-                read_double(is, m.dv_margin),
-            "read_model: missing dv");
-    require(std::isfinite(m.dv_margin) && m.dv_margin >= 0.0,
-            "read_model: dv = " + std::to_string(m.dv_margin) +
-                " (must be finite and >= 0)");
-
-    // `temp` was added after the format shipped; legacy files jump straight
-    // to `pins` and keep the nominal default.
-    require(static_cast<bool>(is >> word), "read_model: truncated header");
-    if (word == "temp") {
-        require(read_double(is, m.temp_c) && std::isfinite(m.temp_c),
-                "read_model: bad temp");
-        require(static_cast<bool>(is >> word), "read_model: missing pins");
-    }
-
-    std::size_t n = 0;
-    require(word == "pins" && static_cast<bool>(is >> n),
-            "read_model: missing pins");
-    m.pins.resize(n);
-    for (auto& p : m.pins)
-        require(static_cast<bool>(is >> p), "read_model: truncated pins");
-
-    require(static_cast<bool>(is >> word >> n) && word == "fixed",
-            "read_model: missing fixed");
-    m.fixed_pins.resize(n);
-    m.fixed_values.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        require(static_cast<bool>(is >> m.fixed_pins[i]) &&
-                    read_double(is, m.fixed_values[i]),
-                "read_model: truncated fixed pins");
-        require(std::isfinite(m.fixed_values[i]),
-                "read_model: fixed pin '" + m.fixed_pins[i] +
-                    "' held at a non-finite voltage");
-    }
-
-    require(static_cast<bool>(is >> word >> n) && word == "internals",
-            "read_model: missing internals");
-    m.internals.resize(n);
-    for (auto& s : m.internals)
-        require(static_cast<bool>(is >> s), "read_model: truncated internals");
-
-    m.i_out = lut::read_table(is);
-    for (std::size_t j = 0; j < m.internals.size(); ++j)
-        m.i_internal.push_back(lut::read_table(is));
-    for (std::size_t p = 0; p < m.pins.size(); ++p)
-        m.c_miller.push_back(lut::read_table(is));
-    m.c_out = lut::read_table(is);
-    for (std::size_t j = 0; j < m.internals.size(); ++j)
-        m.c_internal.push_back(lut::read_table(is));
-    for (std::size_t k = 0; k < m.pins.size() * m.internals.size(); ++k)
-        m.c_miller_internal.push_back(lut::read_table(is));
-    for (std::size_t p = 0; p < m.pins.size(); ++p)
-        m.c_in.push_back(lut::read_table(is));
-
-    require(static_cast<bool>(is >> word) && word == "endmodel",
-            "read_model: missing endmodel");
-    m.check_consistent();
-    return m;
-}
-
 void save_model(const std::string& path, const CsmModel& model) {
     std::ofstream os(path);
     require(os.good(), "save_model: cannot open " + path);
     write_model(os, model);
     require(os.good(), "save_model: write failed for " + path);
-}
-
-CsmModel load_model(const std::string& path) {
-    std::ifstream is(path);
-    require(is.good(), "load_model: cannot open " + path);
-    return read_model(is);
 }
 
 }  // namespace mcsm::core

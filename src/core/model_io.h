@@ -1,5 +1,8 @@
-// Plain-text serialization of characterized CSM models, so that expensive
-// characterization runs can be cached across processes.
+// Plain-text export of characterized CSM models: a human-readable,
+// diff-able dump with every double written as a round-trip-exact hexfloat.
+// It is write-only -- nothing in the library reads it back. Models are
+// stored and served through the binary store (serve/model_store) and the
+// mmap pack (serve/mapped_store).
 #ifndef MCSM_CORE_MODEL_IO_H
 #define MCSM_CORE_MODEL_IO_H
 
@@ -11,12 +14,10 @@
 namespace mcsm::core {
 
 void write_model(std::ostream& os, const CsmModel& model);
-CsmModel read_model(std::istream& is);
 
-// File convenience wrappers; save_model overwrites, load_model throws
-// ModelError when the file is missing or malformed.
+// File convenience wrapper; overwrites `path`, throws ModelError when it
+// cannot be written.
 void save_model(const std::string& path, const CsmModel& model);
-CsmModel load_model(const std::string& path);
 
 }  // namespace mcsm::core
 

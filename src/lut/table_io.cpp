@@ -1,41 +1,10 @@
 #include "lut/table_io.h"
 
-#include <cmath>
-#include <istream>
 #include <ostream>
 
-#include "common/error.h"
 #include "common/fp_text.h"
 
 namespace mcsm::lut {
-
-namespace {
-
-// Reads one whitespace-delimited token and parses it as a double (hexfloat
-// written by write_table, or decimal from legacy files).
-bool read_double(std::istream& is, double& out) {
-    std::string token;
-    return static_cast<bool>(is >> token) && parse_exact_double(token, out);
-}
-
-// Rejects axes that would break interpolation before the Axis constructor
-// sees them, with a message naming the table/axis/knot so a corrupt store
-// file can be triaged from the exception alone.
-void check_axis_knots(const std::string& table_name,
-                      const std::string& axis_name,
-                      const std::vector<double>& knots) {
-    const std::string where = "read_table: table '" + table_name +
-                              "' axis '" + axis_name + "' ";
-    for (std::size_t i = 0; i < knots.size(); ++i) {
-        require(std::isfinite(knots[i]),
-                where + "knot " + std::to_string(i) + " is not finite");
-        require(i == 0 || knots[i] > knots[i - 1],
-                where + "is not strictly increasing at knot " +
-                    std::to_string(i));
-    }
-}
-
-}  // namespace
 
 void write_table(std::ostream& os, const NdTable& table) {
     os << "table " << (table.name().empty() ? "_" : table.name()) << ' '
@@ -57,57 +26,6 @@ void write_table(std::ostream& os, const NdTable& table) {
     }
     if (col % 8 != 0) os << '\n';
     os << "end\n";
-}
-
-NdTable read_table(std::istream& is) {
-    std::string keyword;
-    std::string name;
-    std::size_t rank = 0;
-    require(static_cast<bool>(is >> keyword >> name >> rank) && keyword == "table",
-            "read_table: expected 'table <name> <rank>'");
-    if (name == "_") name.clear();
-
-    std::vector<Axis> axes;
-    axes.reserve(rank);
-    for (std::size_t d = 0; d < rank; ++d) {
-        std::string axis_name;
-        std::size_t n = 0;
-        require(static_cast<bool>(is >> keyword >> axis_name >> n) &&
-                    keyword == "axis",
-                "read_table: expected axis line");
-        if (axis_name == "_") axis_name.clear();
-        std::vector<double> knots(n);
-        for (double& k : knots)
-            require(read_double(is, k), "read_table: truncated axis");
-        check_axis_knots(name, axis_name, knots);
-        axes.emplace_back(std::move(axis_name), std::move(knots));
-    }
-
-    std::size_t count = 0;
-    require(static_cast<bool>(is >> keyword >> count) && keyword == "values",
-            "read_table: expected values line");
-
-    NdTable table(std::move(axes), std::move(name));
-    require(table.value_count() == count,
-            "read_table: value count does not match axes");
-    std::vector<double> vals(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        require(read_double(is, vals[i]), "read_table: truncated values");
-        require(std::isfinite(vals[i]),
-                "read_table: table '" + table.name() + "' value " +
-                    std::to_string(i) + " is not finite");
-    }
-
-    // Write values back through the grid visitor to keep the layout private.
-    std::size_t i = 0;
-    table.for_each_grid_point([&](std::span<const std::size_t>,
-                                  std::span<const double>, double& slot) {
-        slot = vals[i++];
-    });
-
-    require(static_cast<bool>(is >> keyword) && keyword == "end",
-            "read_table: expected 'end'");
-    return table;
 }
 
 }  // namespace mcsm::lut

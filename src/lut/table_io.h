@@ -1,4 +1,5 @@
-// Plain-text serialization for NdTable, used to cache characterized models.
+// Plain-text export of an NdTable, the table section of the human-readable
+// model export (core::write_model). Write-only: nothing reads it back.
 #ifndef MCSM_LUT_TABLE_IO_H
 #define MCSM_LUT_TABLE_IO_H
 
@@ -12,15 +13,11 @@ namespace mcsm::lut {
 //   table <name> <rank>
 //   axis <name> <n> <knot_0> ... <knot_{n-1}>     (rank lines)
 //   values <count>
-//   <v_0> ... <v_{count-1}>                        (whitespace separated)
+//   <v_0> ... <v_{count-1}>                        (8 per line)
 //   end
-// Doubles are written as C99 hexfloat literals so the round trip is
-// bit-exact; the reader also accepts decimal (legacy cache files).
+// Empty names print as "_". Doubles are written as C99 hexfloat literals,
+// so the text carries the exact bits.
 void write_table(std::ostream& os, const NdTable& table);
-
-// Parses a table written by write_table. Throws ModelError on malformed
-// input.
-NdTable read_table(std::istream& is);
 
 }  // namespace mcsm::lut
 

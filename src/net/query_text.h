@@ -1,7 +1,6 @@
-// Text codec of the timing-query wire protocol, shared by the stdin CLI
-// (examples/timing_server), the socket server (net/server) and its
-// clients: ONE grammar, ONE parser, so a query file pipes unchanged into a
-// socket and a socket client can replay a CLI batch.
+// Text codec of the timing-query wire protocol, shared by the socket
+// server (net/server) and its clients (examples/timing_serverd --client):
+// ONE grammar, ONE parser, so a query file pipes unchanged into a socket.
 //
 // Query line (whitespace-separated; '#' starts a comment):
 //   <cell> <pins> <rise|fall> <slews_ps> <skews_ps> <load_fF> [option...]
@@ -17,8 +16,8 @@
 //   err <id> <message...>
 // Doubles are rendered with std::to_chars shortest-round-trip form, so
 // parsing a result line recovers the exact bits run_batch produced.
-// <id> is an opaque caller token (the batch index for the CLI, the
-// per-connection sequence number for the socket server).
+// <id> is an opaque caller token (the per-connection sequence number for
+// the socket server).
 #ifndef MCSM_NET_QUERY_TEXT_H
 #define MCSM_NET_QUERY_TEXT_H
 

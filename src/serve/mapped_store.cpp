@@ -17,8 +17,8 @@
 #include "common/error.h"
 
 // The zero-parse contract hands out spans over raw file bytes as doubles;
-// that is only the on-disk format (little-endian IEEE-754, like the v1/v2
-// stores) on a little-endian host. Big-endian ports would need a decoding
+// that is only the on-disk format (little-endian IEEE-754, like the v2
+// store) on a little-endian host. Big-endian ports would need a decoding
 // reader here.
 static_assert(std::endian::native == std::endian::little,
               "mapped_store: the zero-parse pack requires a little-endian "

@@ -1,6 +1,8 @@
 // mmap-able zero-parse model/surface pack -- format v3 of the binary
-// store family (see model_store.h for v1/v2, which stream one payload per
-// file through a parse-and-copy reader).
+// store family. Together with the per-file MCSMBIN1 v2 store it feeds (see
+// model_store.h, which streams one payload per file through a
+// parse-and-copy reader, and whose model envelope the pack embeds) it is
+// the only model format any program reads.
 //
 // A pack bundles any number of characterized models and serve-layer arc
 // surfaces into ONE file laid out for mmap(2):

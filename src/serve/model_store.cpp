@@ -143,12 +143,8 @@ void write_envelope(std::ostream& os, std::uint32_t kind,
     require(os.good(), "model_store: write failed");
 }
 
-struct Envelope {
-    std::string payload;
-    std::uint32_t version = 0;
-};
-
-Envelope read_envelope(std::istream& is, std::uint32_t kind) {
+// Returns the verified payload bytes of a `kind` envelope.
+std::string read_envelope(std::istream& is, std::uint32_t kind) {
     char magic[sizeof kStoreMagic];
     is.read(magic, sizeof magic);
     require(is.gcount() == sizeof magic &&
@@ -160,16 +156,12 @@ Envelope read_envelope(std::istream& is, std::uint32_t kind) {
     require(is.gcount() == 24, "model_store: truncated header");
     ByteReader header(header_bytes);
     const std::uint32_t version = header.u32();
-    require(version >= kMinFormatVersion && version <= kFormatVersion,
+    require(version == kFormatVersion,
             "model_store: unsupported format version " +
                 std::to_string(version));
     const std::uint32_t file_kind = header.u32();
     require(file_kind == kind,
             "model_store: payload kind mismatch");
-    // Surfaces were introduced with format version 2; a v1 envelope
-    // declaring one is corrupt by definition.
-    require(kind != kSurfaceKind || version >= 2,
-            "model_store: surface payload in a pre-surface format version");
     const std::uint64_t size = header.u64();
     require(size <= kMaxPayloadBytes,
             "model_store: implausible payload size (corrupt header)");
@@ -180,7 +172,7 @@ Envelope read_envelope(std::istream& is, std::uint32_t kind) {
     require(static_cast<std::uint64_t>(is.gcount()) == size,
             "model_store: truncated payload");
     require(fnv1a(payload) == checksum, "model_store: checksum mismatch");
-    return Envelope{std::move(payload), version};
+    return payload;
 }
 
 // --- table / model payloads ---------------------------------------------
@@ -253,20 +245,6 @@ void get_tables(ByteReader& r, std::size_t n,
 
 }  // namespace
 
-void write_table_binary(std::ostream& os, const lut::NdTable& table) {
-    ByteWriter w;
-    put_table(w, table);
-    write_envelope(os, kTableKind, w.bytes());
-}
-
-lut::NdTable read_table_binary(std::istream& is) {
-    const Envelope env = read_envelope(is, kTableKind);
-    ByteReader r(env.payload);
-    lut::NdTable table = get_table(r);
-    require(r.exhausted(), "model_store: trailing bytes after table");
-    return table;
-}
-
 void write_model_binary(std::ostream& os, const core::CsmModel& model) {
     model.check_consistent();
     ByteWriter w;
@@ -274,7 +252,7 @@ void write_model_binary(std::ostream& os, const core::CsmModel& model) {
     w.str(model.cell_name);
     w.f64(model.vdd);
     w.f64(model.dv_margin);
-    w.f64(model.temp_c);  // since format version 2
+    w.f64(model.temp_c);
     put_str_vec(w, model.pins);
     put_str_vec(w, model.fixed_pins);
     w.f64_vec(model.fixed_values);
@@ -290,8 +268,8 @@ void write_model_binary(std::ostream& os, const core::CsmModel& model) {
 }
 
 core::CsmModel read_model_binary(std::istream& is) {
-    const Envelope env = read_envelope(is, kModelKind);
-    ByteReader r(env.payload);
+    const std::string payload = read_envelope(is, kModelKind);
+    ByteReader r(payload);
 
     core::CsmModel m;
     const std::uint32_t kind = r.u32();
@@ -301,7 +279,7 @@ core::CsmModel read_model_binary(std::istream& is) {
     m.cell_name = r.str();
     m.vdd = r.f64();
     m.dv_margin = r.f64();
-    if (env.version >= 2) m.temp_c = r.f64();
+    m.temp_c = r.f64();
     require(std::isfinite(m.vdd) && m.vdd > 0.0,
             "model_store: vdd = " + std::to_string(m.vdd) +
                 " (must be finite and > 0)");
@@ -343,8 +321,8 @@ void write_surface_binary(std::ostream& os, const ArcSurfaceData& surface) {
 }
 
 ArcSurfaceData read_surface_binary(std::istream& is) {
-    const Envelope env = read_envelope(is, kSurfaceKind);
-    ByteReader r(env.payload);
+    const std::string payload = read_envelope(is, kSurfaceKind);
+    ByteReader r(payload);
     ArcSurfaceData s;
     s.arc_id = r.str();
     s.dt = r.f64();

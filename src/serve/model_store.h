@@ -1,13 +1,15 @@
-// Versioned, checksummed binary serialization of characterized models,
-// lookup tables and serve-layer arc surfaces -- the at-rest format of the
-// serving layer. Compared to the text model_io/table_io path it is ~10x
-// smaller and faster to load, and the round trip is bit-exact by
-// construction (doubles travel as their IEEE-754 bit patterns).
+// Versioned, checksummed binary serialization of characterized models and
+// serve-layer arc surfaces -- the at-rest format of the serving layer, one
+// payload per file (<key>.csm.bin, <arc>.surf.bin). The mmap pack
+// (serve/mapped_store) embeds the same model envelope, so this is also the
+// pack's model payload format. The round trip is bit-exact by construction
+// (doubles travel as their IEEE-754 bit patterns). Text (core::write_model)
+// is a write-only human export; nothing reads it back.
 //
 // Envelope (shared by every payload kind):
 //   magic   8 bytes  "MCSMBIN1"
 //   version u32      kFormatVersion (little-endian, like every scalar)
-//   kind    u32      payload kind (kTableKind / kModelKind / kSurfaceKind)
+//   kind    u32      payload kind (kModelKind / kSurfaceKind)
 //   size    u64      payload byte count
 //   check   u64      FNV-1a 64 over the payload bytes
 //   payload size bytes
@@ -16,11 +18,11 @@
 // can never yield a partial model.
 //
 // Version history:
-//   1  initial format (tables, models)
+//   1  initial format (tables, models); no longer read.
 //   2  model payload gains the characterization temperature (temp_c);
 //      new kSurfaceKind payload (serve-layer delay/slew arc surfaces).
-// Writers emit version 2; readers accept 1 and 2 (a v1 model loads with the
-// nominal 25 degC temperature).
+// Writers emit version 2 and readers accept exactly version 2. Kind 1 (a
+// bare table) is retired; its number stays reserved.
 #ifndef MCSM_SERVE_MODEL_STORE_H
 #define MCSM_SERVE_MODEL_STORE_H
 
@@ -36,18 +38,12 @@ namespace mcsm::serve {
 inline constexpr char kStoreMagic[8] = {'M', 'C', 'S', 'M',
                                         'B', 'I', 'N', '1'};
 inline constexpr std::uint32_t kFormatVersion = 2;
-inline constexpr std::uint32_t kMinFormatVersion = 1;
-inline constexpr std::uint32_t kTableKind = 1;
 inline constexpr std::uint32_t kModelKind = 2;
 inline constexpr std::uint32_t kSurfaceKind = 3;
 
 // Canonical file extensions of the store formats.
 inline constexpr const char* kBinaryModelExt = ".csm.bin";
-inline constexpr const char* kTextModelExt = ".csm";
 inline constexpr const char* kSurfaceExt = ".surf.bin";
-
-void write_table_binary(std::ostream& os, const lut::NdTable& table);
-lut::NdTable read_table_binary(std::istream& is);
 
 void write_model_binary(std::ostream& os, const core::CsmModel& model);
 core::CsmModel read_model_binary(std::istream& is);

@@ -1,12 +1,11 @@
 #include "serve/repository.h"
 
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
 #include <utility>
 
 #include "analysis/model_audit.h"
 #include "common/error.h"
-#include "core/model_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/model_store.h"
@@ -17,12 +16,16 @@ namespace fs = std::filesystem;
 
 std::string Corner::tag() const {
     if (nominal()) return {};
-    // %.6g is stable and round-trip-exact for the handful of digits corner
-    // specs carry; the tag is an identity, not a serialization.
+    // Shortest round-trip form: two corners share a tag only when their
+    // doubles are equal, and the digits people type stay as typed
+    // (1.08 -> "1.08", 85.0 -> "85").
     char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6gV%.6gC", vdd > 0.0 ? vdd : 0.0,
-                  temp_c);
-    return buf;
+    char* p = buf;
+    p = std::to_chars(p, buf + sizeof buf, vdd > 0.0 ? vdd : 0.0).ptr;
+    *p++ = 'V';
+    p = std::to_chars(p, buf + sizeof buf, temp_c).ptr;
+    *p++ = 'C';
+    return std::string(buf, p);
 }
 
 std::string ModelKey::to_string() const {
@@ -90,8 +93,8 @@ std::shared_ptr<const core::CsmModel> ModelRepository::get(
         key.to_string(),
         [&] {
             ModelPtr model = load_or_characterize(key);
-            // Pre-flight audit on every production (store load, legacy
-            // migration, or fresh characterization): a defective model is
+            // Pre-flight audit on every production (pack or store load, or
+            // fresh characterization): a defective model is
             // rejected here, before anything is served from it, and the
             // failure is never cached (single-flight failure contract).
             if (options_.lint_on_load)
@@ -130,14 +133,6 @@ ModelRepository::ModelPtr ModelRepository::load_or_characterize(
             obs::counter("serve.model.store_loads").add();
             return std::make_shared<const core::CsmModel>(
                 load_model_binary(bin));
-        }
-        const std::string txt =
-            options_.dir + "/" + key.to_string() + kTextModelExt;
-        if (fs::exists(txt, ec)) {
-            core::CsmModel m = core::load_model(txt);
-            // Migrate legacy text stores to the binary format on first load.
-            if (options_.write_back) save_model_binary(bin, m);
-            return std::make_shared<const core::CsmModel>(std::move(m));
         }
     }
 

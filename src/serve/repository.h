@@ -1,10 +1,11 @@
 // Directory-backed model repository: the serving layer's cache of
 // characterized CSM models.
 //
-// Lookup order for a key: in-memory cache -> binary store file
-// (<dir>/<key>.csm.bin) -> legacy text store file (<dir>/<key>.csm) ->
-// on-demand characterization (when a cell library is attached), whose
-// result is written back to the binary store. Loads are lazy and
+// Lookup order for a key: in-memory cache -> mmap pack (when attached) ->
+// binary store file (<dir>/<key>.csm.bin) -> on-demand characterization
+// (when a cell library is attached), whose result is written back to the
+// binary store. Text .csm files are a human export and are never read: a
+// directory holding only <key>.csm characterizes. Loads are lazy and
 // single-flight: concurrent misses on the same key block on one
 // load/characterization instead of duplicating it, and a failed load is
 // never cached (the next get retries, e.g. after the corrupt file was
@@ -44,7 +45,9 @@ struct Corner {
 
     bool nominal() const { return vdd <= 0.0 && temp_c == 25.0; }
     // Filename-safe key suffix, "" for the nominal corner (so nominal
-    // store files keep their pre-corner names): "1.08V85C".
+    // store files keep their pre-corner names): "1.08V85C". vdd and
+    // temperature print in shortest round-trip form, so distinct corners
+    // never share a tag.
     std::string tag() const;
 };
 
@@ -71,15 +74,15 @@ struct RepositoryOptions {
     std::string dir;
     // Optional mmap'd model pack (serve/mapped_store). When set, lookups
     // consult the pack's current mapping before touching per-file stores or
-    // characterizing: memory -> pack -> .csm.bin -> .csm -> characterize.
+    // characterizing: memory -> pack -> .csm.bin -> characterize.
     // Pack hits parse the packed v2 envelope once per process (the
     // in-memory cache holds the result); the mapping itself is shared
     // page-cache across every process hosting the same pack.
     std::shared_ptr<PackHost> pack;
     // Persist freshly characterized models into `dir`.
     bool write_back = true;
-    // Run analysis::audit_model on every model production (store load,
-    // legacy-text migration, characterize-on-miss, put()) and throw
+    // Run analysis::audit_model on every model production (pack or store
+    // load, characterize-on-miss, put()) and throw
     // ModelError carrying the lint report when it finds errors -- the
     // pre-flight admission gate of the serve layer. Failed audits are
     // never cached, so a repaired store file is retried on the next get().

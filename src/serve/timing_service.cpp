@@ -59,8 +59,9 @@ bool uses_lut(const TimingQuery& q) { return !(q.exact || q.want_waveform); }
 // True when `a` and `b` are served by the same path from the same timing
 // arc: the cell, the ordered switching pins, the edge direction and the
 // corner -- every field the arc id and the model key are built from.
-// Corners compare by value; two corners whose formatted tags coincide make
-// two batch arcs that resolve to the same cached surface or model.
+// Corners compare by value; two corners whose tags coincide (only
+// spellings of the nominal supply, vdd <= 0, can) make two batch arcs that
+// resolve to the same cached surface or model.
 bool same_arc(const TimingQuery& a, const TimingQuery& b) {
     return uses_lut(a) == uses_lut(b) && a.inputs_rise == b.inputs_rise &&
            a.corner.vdd == b.corner.vdd &&

@@ -4,13 +4,15 @@
 // decks -- that nothing fires at all: the linter is only useful if it has
 // zero false positives on circuits the repo itself simulates). Also covers
 // the structural-singularity matcher on hand-built patterns, the hardened
-// store/text load paths, and the repository's lint_on_load admission gate.
+// binary store load path, and the repository's lint_on_load admission gate.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -27,8 +29,6 @@
 #include "analysis/structural.h"
 #include "cells/library.h"
 #include "common/error.h"
-#include "core/model_io.h"
-#include "lut/table_io.h"
 #include "serve/model_store.h"
 #include "serve/repository.h"
 #include "spice/circuit.h"
@@ -496,45 +496,59 @@ TEST(StoreAudit, MissingPathIsAnError) {
 
 // --- hardened load paths -------------------------------------------------
 
-TEST(LoadHardening, TextTableRejectsNanValue) {
-    std::istringstream is(
-        "table T 1\naxis x 2 0.0 1.0\nvalues 2 nan 1.0\nend\n");
-    const std::string what = what_of([&] { lut::read_table(is); });
-    EXPECT_NE(what.find("not finite"), std::string::npos) << what;
+// Rewrites the first occurrence of `from`'s bit pattern in a written model
+// envelope's payload to `to` and re-seals the FNV-1a checksum, so the
+// reader's own table validation -- not the checksum -- has to catch it.
+std::string with_double_replaced(std::string bytes, double from, double to) {
+    constexpr std::size_t kHeader = 32;  // magic + version + kind + size + check
+    const auto raw = [](double v) {
+        std::string b(8, '\0');
+        const auto u = std::bit_cast<std::uint64_t>(v);
+        for (int i = 0; i < 8; ++i)
+            b[static_cast<std::size_t>(i)] =
+                static_cast<char>((u >> (8 * i)) & 0xff);
+        return b;
+    };
+    const std::size_t at = bytes.find(raw(from), kHeader);
+    if (at == std::string::npos) return bytes;
+    bytes.replace(at, 8, raw(to));
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t i = kHeader; i < bytes.size(); ++i) {
+        h ^= static_cast<unsigned char>(bytes[i]);
+        h *= 1099511628211ull;
+    }
+    for (int i = 0; i < 8; ++i)
+        bytes[24 + static_cast<std::size_t>(i)] =
+            static_cast<char>((h >> (8 * i)) & 0xff);
+    return bytes;
 }
 
-TEST(LoadHardening, TextTableRejectsNonMonotoneAxis) {
-    std::istringstream is(
-        "table T 1\naxis x 2 1.0 0.0\nvalues 2 0.0 0.0\nend\n");
-    const std::string what = what_of([&] { lut::read_table(is); });
-    EXPECT_NE(what.find("strictly increasing"), std::string::npos) << what;
-}
-
-TEST(LoadHardening, TextTableRejectsNanKnot) {
-    std::istringstream is(
-        "table T 1\naxis x 2 nan 1.0\nvalues 2 0.0 0.0\nend\n");
-    const std::string what = what_of([&] { lut::read_table(is); });
-    EXPECT_NE(what.find("not finite"), std::string::npos) << what;
-}
-
-TEST(LoadHardening, TextModelRejectsBadHeader) {
-    core::CsmModel m = make_sis_model();
-    m.vdd = -1.0;  // write_model only checks shape, so this serializes
-    std::ostringstream os;
-    core::write_model(os, m);
-    std::istringstream is(os.str());
-    const std::string what = what_of([&] { core::read_model(is); });
-    EXPECT_NE(what.find("vdd"), std::string::npos) << what;
-}
-
-TEST(LoadHardening, BinaryModelRejectsNanPayload) {
-    core::CsmModel m = make_sis_model();
-    m.i_out.set_grid_value(std::vector<std::size_t>{1, 1}, std::nan(""));
-    std::ostringstream os;
-    serve::write_model_binary(os, m);
-    std::istringstream is(os.str());
-    const std::string what = what_of([&] { serve::read_model_binary(is); });
-    EXPECT_NE(what.find("not finite"), std::string::npos) << what;
+TEST(LoadHardening, BinaryModelRejectsNanValueAndBadKnots) {
+    core::CsmModel nan_value = make_sis_model();
+    nan_value.i_out.set_grid_value(std::vector<std::size_t>{1, 1},
+                                   std::nan(""));
+    std::ostringstream nan_os;
+    serve::write_model_binary(nan_os, nan_value);
+    std::ostringstream clean_os;
+    serve::write_model_binary(clean_os, make_sis_model());
+    // The Axis constructor refuses NaN and unordered knots, so those two
+    // faults are written by payload surgery on the first axis (knots
+    // {-0.12, 0, 0.6, 1.2, 1.32}): knot 2 becomes NaN, then -0.5.
+    const struct {
+        std::string bytes;
+        const char* message;
+    } cases[] = {
+        {nan_os.str(), "not finite"},
+        {with_double_replaced(clean_os.str(), 0.6, std::nan("")),
+         "knot at index 2"},
+        {with_double_replaced(clean_os.str(), 0.6, -0.5), "knot at index 2"},
+    };
+    for (const auto& c : cases) {
+        std::istringstream is(c.bytes);
+        const std::string what =
+            what_of([&] { serve::read_model_binary(is); });
+        EXPECT_NE(what.find(c.message), std::string::npos) << what;
+    }
 }
 
 TEST(LoadHardening, BinaryModelRejectsBadVdd) {

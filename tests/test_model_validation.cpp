@@ -3,14 +3,13 @@
 // corrupt results.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/characterizer.h"
 #include "core/csm_device.h"
 #include "core/explicit_sim.h"
-#include "core/model_io.h"
+#include "serve/model_store.h"
 #include "core/model_scenarios.h"
 #include "core/selective.h"
 #include "spice/tran_solver.h"
@@ -111,29 +110,9 @@ TEST(ModelValidation, DetectsWrongCinCount) {
 
 // --- model IO failure injection ---------------------------------------------
 
-TEST(ModelIoValidation, RoundTripThenTruncationFails) {
-    const Shared& s = Shared::get();
-    std::stringstream ss;
-    write_model(ss, s.nor);
-    const std::string text = ss.str();
-
-    // Any truncation must throw, never return a half-read model.
-    for (const double frac : {0.1, 0.5, 0.9, 0.999}) {
-        std::stringstream cut(
-            text.substr(0, static_cast<std::size_t>(text.size() * frac)));
-        EXPECT_THROW(read_model(cut), ModelError) << frac;
-    }
-}
-
-TEST(ModelIoValidation, RejectsWrongHeaderAndKind) {
-    std::stringstream bad1("notamodel v1\n");
-    EXPECT_THROW(read_model(bad1), ModelError);
-    std::stringstream bad2("csmmodel v1\nkind FANCY\n");
-    EXPECT_THROW(read_model(bad2), ModelError);
-}
-
 TEST(ModelIoValidation, MissingFileThrows) {
-    EXPECT_THROW(load_model("/nonexistent/dir/model.csm"), ModelError);
+    EXPECT_THROW(serve::load_model_binary("/nonexistent/dir/model.csm.bin"),
+                 ModelError);
 }
 
 // --- device wiring validation ------------------------------------------------

@@ -1,6 +1,6 @@
-// Serving-layer tests: bit-exact binary/text store round trips (for every
-// library cell), corrupt-input rejection (bad magic, bad checksums,
-// truncations, malformed text -- always ModelError, never a partial model),
+// Serving-layer tests: bit-exact binary store round trips (for every
+// library cell), corrupt-input rejection (bad magic, bad version, bad
+// checksums, truncations -- always ModelError, never a partial model),
 // repository caching semantics (lazy load, single-flight characterization,
 // clean cache after failures), deterministic batched timing queries
 // across thread counts, LUT answers pinned bit for bit, the per-query
@@ -27,7 +27,6 @@
 #include "common/single_flight.h"
 #include "core/characterizer.h"
 #include "core/model_io.h"
-#include "lut/table_io.h"
 #include "obs/metrics.h"
 #include "serve/model_store.h"
 #include "serve/repository.h"
@@ -53,12 +52,6 @@ core::CharOptions fast_options(std::size_t grid_points = 6) {
 std::string binary_bytes(const core::CsmModel& model) {
     std::stringstream ss;
     write_model_binary(ss, model);
-    return ss.str();
-}
-
-std::string table_bytes(const lut::NdTable& table) {
-    std::stringstream ss;
-    write_table_binary(ss, table);
     return ss.str();
 }
 
@@ -102,28 +95,6 @@ struct TempDir {
 
 // --- binary store round trips -------------------------------------------
 
-TEST(ModelStore, TableRoundTripIsBitExact) {
-    // Values that decimal text formatting historically mangles: subnormals,
-    // negative zero, huge/tiny magnitudes.
-    lut::NdTable t({lut::Axis("x", {-0.12, 0.0, 0.6, 1.32}),
-                    lut::Axis("y", {1e-18, 2.5e-15, 6.4e-13})},
-                   "quirks");
-    const std::vector<double> vals{
-        5e-324, -5e-324, -0.0,   0.0,       1e308,      -1e308,
-        1e-300, 3.14,    -2e-9,  7.77e-16,  0.1,        -0.3,
-    };
-    std::size_t i = 0;
-    t.for_each_grid_point([&](std::span<const std::size_t>,
-                              std::span<const double>, double& slot) {
-        slot = vals[i++ % vals.size()];
-    });
-
-    std::stringstream ss(table_bytes(t));
-    const lut::NdTable back = read_table_binary(ss);
-    EXPECT_EQ(back.name(), "quirks");
-    EXPECT_EQ(table_bytes(back), table_bytes(t));
-}
-
 TEST(ModelStore, ModelRoundTripEveryLibraryCell) {
     const Shared& s = Shared::get();
     const core::Characterizer chr(s.lib);
@@ -161,46 +132,6 @@ TEST(ModelStore, SaveLoadFileRoundTrip) {
     EXPECT_EQ(entries, 1u);
 }
 
-// --- text store round-trip fidelity (hexfloat regression) ----------------
-
-TEST(ModelIoText, RoundTripIsBitExact) {
-    const Shared& s = Shared::get();
-    for (const core::CsmModel* m : {&s.inv, &s.nor}) {
-        std::stringstream ss;
-        core::write_model(ss, *m);
-        const core::CsmModel back = core::read_model(ss);
-        EXPECT_EQ(binary_bytes(back), binary_bytes(*m));
-    }
-}
-
-TEST(ModelIoText, TableRoundTripPreservesQuirkValues) {
-    lut::NdTable t({lut::Axis("x", {0.0, 1.0})}, "q");
-    std::vector<std::size_t> i0{0};
-    std::vector<std::size_t> i1{1};
-    t.set_grid_value(i0, 5e-324);  // subnormal: lost by %.17g-era formats
-    t.set_grid_value(i1, -0.0);
-    std::stringstream ss;
-    lut::write_table(ss, t);
-    const lut::NdTable back = lut::read_table(ss);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.values()[0]),
-              std::bit_cast<std::uint64_t>(t.values()[0]));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.values()[1]),
-              std::bit_cast<std::uint64_t>(t.values()[1]));
-}
-
-TEST(ModelIoText, LegacyDecimalTablesStillParse) {
-    std::stringstream ss(
-        "table legacy 1\n"
-        "axis x 3 0 0.5 1e0\n"
-        "values 3\n"
-        "0.25 -3e-15 17\n"
-        "end\n");
-    const lut::NdTable t = lut::read_table(ss);
-    EXPECT_EQ(t.values()[0], 0.25);
-    EXPECT_EQ(t.values()[1], -3e-15);
-    EXPECT_EQ(t.values()[2], 17.0);
-}
-
 // --- corrupt / malformed inputs ------------------------------------------
 
 TEST(ModelStoreValidation, RejectsBadMagic) {
@@ -208,21 +139,6 @@ TEST(ModelStoreValidation, RejectsBadMagic) {
     bytes[0] = 'X';
     std::stringstream ss(bytes);
     EXPECT_THROW(read_model_binary(ss), ModelError);
-}
-
-TEST(ModelStoreValidation, RejectsBadVersion) {
-    std::string bytes = binary_bytes(Shared::get().nor);
-    bytes[8] = static_cast<char>(bytes[8] + 1);  // version field
-    std::stringstream ss(bytes);
-    EXPECT_THROW(read_model_binary(ss), ModelError);
-}
-
-TEST(ModelStoreValidation, RejectsKindMismatch) {
-    // A model envelope is not a table envelope and vice versa.
-    std::stringstream model_ss(binary_bytes(Shared::get().nor));
-    EXPECT_THROW(read_table_binary(model_ss), ModelError);
-    std::stringstream table_ss(table_bytes(Shared::get().nor.i_out));
-    EXPECT_THROW(read_model_binary(table_ss), ModelError);
 }
 
 TEST(ModelStoreValidation, RejectsTruncationAtAnyDepth) {
@@ -290,25 +206,45 @@ TEST(ModelStore, SurfaceRoundTripIsBitExact) {
     EXPECT_EQ(surface_bytes(back), surface_bytes(s));
 }
 
+TEST(ModelStore, SurfaceRoundTripPreservesQuirkValues) {
+    // Values that decimal text formatting historically mangles: subnormals,
+    // negative zero, huge/tiny magnitudes.
+    const std::vector<double> vals{
+        5e-324, -5e-324, -0.0,   0.0,       1e308,      -1e308,
+        1e-300, 3.14,    -2e-9,  7.77e-16,  0.1,        -0.3,
+    };
+    ArcSurfaceData s = sample_surface();
+    const std::vector<lut::Axis> axes{
+        lut::Axis("x", {-0.12, 0.0, 0.6, 1.32}),
+        lut::Axis("y", {1e-18, 2.5e-15, 6.4e-13})};
+    s.delay = lut::NdTable(axes, "quirks");
+    s.slew = lut::NdTable(axes, "quirks_reversed");
+    std::size_t i = 0;
+    s.delay.for_each_grid_point([&](std::span<const std::size_t>,
+                                    std::span<const double>, double& slot) {
+        slot = vals[i++];
+    });
+    s.slew.for_each_grid_point([&](std::span<const std::size_t>,
+                                   std::span<const double>, double& slot) {
+        slot = vals[--i];
+    });
+
+    std::stringstream ss(surface_bytes(s));
+    const ArcSurfaceData back = read_surface_binary(ss);
+    EXPECT_EQ(back.delay.name(), "quirks");
+    ASSERT_EQ(back.delay.values().size(), vals.size());
+    for (std::size_t k = 0; k < vals.size(); ++k)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.delay.values()[k]),
+                  std::bit_cast<std::uint64_t>(s.delay.values()[k]))
+            << k;
+    EXPECT_EQ(surface_bytes(back), surface_bytes(s));
+}
+
 TEST(ModelStore, ModelCarriesCharacterizationTemperature) {
     core::CsmModel m = Shared::get().inv;
     m.temp_c = 85.0;
     std::stringstream ss(binary_bytes(m));
     EXPECT_EQ(read_model_binary(ss).temp_c, 85.0);
-    // The text path carries it too.
-    std::stringstream text;
-    core::write_model(text, m);
-    EXPECT_EQ(core::read_model(text).temp_c, 85.0);
-}
-
-namespace {
-std::uint64_t test_fnv1a(const std::string& bytes) {
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 void poke_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
@@ -317,46 +253,32 @@ void poke_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
             static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
-void poke_u64(std::string& bytes, std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        bytes[at + static_cast<std::size_t>(i)] =
-            static_cast<char>((v >> (8 * i)) & 0xff);
-}
-}  // namespace
-
-TEST(ModelStoreValidation, LegacyV1ModelPayloadStillLoads) {
-    // Reconstruct a pre-corner (version 1) file by byte surgery on the v2
-    // bytes: drop the temp_c double that sits after dv_margin, mark the
-    // envelope as version 1 and re-checksum. Reading it must default the
-    // temperature to the nominal 25 degC -- which makes the reloaded model
-    // re-serialize bitwise identical to the v2 original.
-    const core::CsmModel& nor = Shared::get().nor;
-    ASSERT_EQ(nor.temp_c, 25.0);
-    const std::string v2 = binary_bytes(nor);
-
-    const std::size_t name_len = nor.cell_name.size();
-    const std::size_t temp_at = 32 + 4 + 4 + name_len + 8 + 8;
-    std::string payload = v2.substr(32);
-    payload.erase(temp_at - 32, 8);
-
-    std::string v1 = v2.substr(0, 32) + payload;
-    poke_u32(v1, 8, 1);  // version
-    poke_u64(v1, 16, payload.size());
-    poke_u64(v1, 24, test_fnv1a(payload));
-
-    std::stringstream ss(v1);
-    const core::CsmModel back = read_model_binary(ss);
-    EXPECT_EQ(back.temp_c, 25.0);
-    EXPECT_EQ(binary_bytes(back), v2);
+TEST(ModelStoreValidation, RejectsBadVersion) {
+    // Version 2 is the only one read: a version-1 file (pre-corner models,
+    // no surfaces) and an unknown future version both fail before any
+    // payload parsing. The version sits outside the checksummed payload.
+    const std::string model = binary_bytes(Shared::get().nor);
+    const std::string surface = surface_bytes(sample_surface());
+    for (const std::uint32_t version : {0u, 1u, 3u}) {
+        std::string m = model;
+        poke_u32(m, 8, version);
+        std::stringstream model_ss(m);
+        EXPECT_THROW(read_model_binary(model_ss), ModelError) << version;
+        std::string s = surface;
+        poke_u32(s, 8, version);
+        std::stringstream surf_ss(s);
+        EXPECT_THROW(read_surface_binary(surf_ss), ModelError) << version;
+    }
 }
 
-TEST(ModelStoreValidation, SurfaceInV1EnvelopeRejected) {
-    // Surfaces were introduced with format version 2; a v1 envelope
-    // declaring one is corrupt by definition.
-    std::string bytes = surface_bytes(sample_surface());
-    poke_u32(bytes, 8, 1);
-    std::stringstream ss(bytes);
-    EXPECT_THROW(read_surface_binary(ss), ModelError);
+TEST(ModelStoreValidation, RejectsKindMismatch) {
+    // The retired table kind (1) and an unknown kind are not a model.
+    for (const std::uint32_t kind : {1u, 4u}) {
+        std::string bytes = binary_bytes(Shared::get().nor);
+        poke_u32(bytes, 12, kind);
+        std::stringstream ss(bytes);
+        EXPECT_THROW(read_model_binary(ss), ModelError) << kind;
+    }
 }
 
 TEST(ModelStoreValidation, SurfaceAndModelKindsDoNotCrossLoad) {
@@ -402,19 +324,6 @@ TEST(ModelStoreValidation, FuzzedTruncationsAndBitFlipsAlwaysThrow) {
                 << (is_surface ? "surface" : "model") << " at=" << at
                 << " bit=" << bit;
         }
-    }
-}
-
-TEST(ModelStoreValidation, MalformedTextTablesThrow) {
-    for (const char* text : {
-             "garbage",
-             "table t 1\naxis x 2 0 zz\nvalues 2\n0 1\nend\n",  // bad knot
-             "table t 1\naxis x 2 0 1\nvalues 5\n0 1\nend\n",   // bad count
-             "table t 1\naxis x 2 0 1\nvalues 2\n0 nope\nend\n",
-             "table t 1\naxis x 2 0 1\nvalues 2\n0 1\n",  // missing end
-         }) {
-        std::stringstream ss(text);
-        EXPECT_THROW(lut::read_table(ss), ModelError) << text;
     }
 }
 
@@ -518,19 +427,26 @@ TEST(Repository, WriteBackThenColdLoadIsBitExact) {
     EXPECT_EQ(cold.characterize_count(), 0u);
 }
 
-TEST(Repository, MigratesLegacyTextStoreToBinary) {
+TEST(Repository, TextExportIsNeverReadBack) {
+    // A store dir holding only the text export <key>.csm is a miss: text
+    // is write-only, so the repository characterizes instead of parsing it.
     const Shared& s = Shared::get();
-    TempDir dir("migrate");
-    const ModelKey key = ModelKey::arc("NOR2", {"A", "B"});
+    TempDir dir("text_export");
+    const ModelKey key = ModelKey::arc("INV_X1", {"A"});
 
     RepositoryOptions opt;
     opt.dir = dir.str();
-    core::save_model(dir.str() + "/" + key.to_string() + kTextModelExt,
-                     s.nor);
+    opt.char_options = fast_options();
+    core::save_model(dir.str() + "/" + key.to_string() + ".csm", s.inv);
 
-    ModelRepository repo(nullptr, opt);
-    EXPECT_EQ(binary_bytes(*repo.get(key)), binary_bytes(s.nor));
-    EXPECT_TRUE(fs::exists(repo.binary_path(key)));  // migrated on load
+    ModelRepository no_lib(nullptr, opt);
+    EXPECT_THROW(no_lib.get(key), ModelError);
+    EXPECT_FALSE(fs::exists(no_lib.binary_path(key)));
+
+    ModelRepository repo(&s.lib, opt);
+    EXPECT_EQ(binary_bytes(*repo.get(key)), binary_bytes(s.inv));
+    EXPECT_EQ(repo.characterize_count(), 1u);
+    EXPECT_TRUE(fs::exists(repo.binary_path(key)));  // written back
 }
 
 // --- repository corner keying ---------------------------------------------
@@ -603,6 +519,42 @@ std::unique_ptr<ModelRepository> seeded_repo() {
     repo->put(ModelKey::arc("INV_X1", {"A"}), s.inv);
     repo->put(ModelKey::arc("NOR2", {"A", "B"}), s.nor);
     return repo;
+}
+
+TEST(TimingService, NearbyCornersNeverShareAKeyOrSurface) {
+    // Corner tags print vdd and temperature in shortest round-trip form:
+    // 1.0800004 V no longer rounds onto the 1.08 V tag, so the two corners
+    // get their own model keys, arc ids and surfaces, and answers cannot
+    // depend on which corner was queried first. The tags in use keep
+    // their spelling.
+    EXPECT_EQ((Corner{1.08, 85.0}.tag()), "1.08V85C");
+    EXPECT_EQ((Corner{1.1, 85.0}.tag()), "1.1V85C");
+    EXPECT_EQ((Corner{1.0, 100.0}.tag()), "1V100C");
+    EXPECT_EQ(Corner{}.tag(), "");
+
+    const Corner a{1.08, 85.0};
+    const Corner b{1.0800004, 85.0};
+    const ModelKey key_a = ModelKey::arc("INV_X1", {"A"}, a);
+    const ModelKey key_b = ModelKey::arc("INV_X1", {"A"}, b);
+    EXPECT_EQ(key_a.to_string(), "INV_X1.SIS.A@1.08V85C");
+    EXPECT_NE(key_a.to_string(), key_b.to_string());
+
+    auto repo = seeded_repo();
+    repo->put(key_a, Shared::get().inv);
+    repo->put(key_b, Shared::get().inv);
+    TimingService service(*repo, test_serve_options());
+    TimingQuery q;
+    q.cell = "INV_X1";
+    q.pins = {"A"};
+    q.slews = {80e-12};
+    q.load_cap = 4e-15;
+    for (const Corner& c : {a, b}) {
+        q.corner = c;
+        const TimingResult r = service.run_one(q);
+        EXPECT_TRUE(r.valid) << r.error;
+    }
+    // One surface per arc id: a shared id would serve b from a's surface.
+    EXPECT_EQ(service.surface_count(), 2u);
 }
 
 TEST(TimingService, LutPathMatchesTransientAtSurfaceKnots) {
