@@ -182,7 +182,9 @@ int main() {
     // than the transistor-level netlist it replaces. The default transient
     // path (tstop 3.2 ns, dt 1 ps) on the NOR2 FO2 history scenario, MCSM
     // ModelCell against GoldenCell, each run building its own circuit. The
-    // gate asks for 2x (10 of 10 runs on a 4-core host measured >= 2.5x).
+    // gate asks for 2x. 10 of 10 runs on a shared 4-core host measured
+    // 2.0-2.6x (median 2.5x); the ratio was about 3.4x before the MOSFET
+    // capacitances moved into the SIMD lanes made the golden side faster.
     // Measured in interleaved pairs, min-of-5 per side, and two
     // remeasurements before a noisy verdict may fail.
     {

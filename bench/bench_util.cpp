@@ -158,7 +158,9 @@ double time_newton_cycle_us(spice::Circuit& c, const std::vector<double>& x) {
     spice::SimContext ctx;
     ctx.mode = spice::SimContext::Mode::kDc;
     ctx.x = &x;
-    const int reps = 2000;
+    // 10000 cycles (about 0.15 s on the 48-cell chain) per call, so one
+    // scheduler hiccup is a small share of a timed call.
+    const int reps = 10000;
     const auto t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {
         spice::Stamper& st = ws.begin_assembly();

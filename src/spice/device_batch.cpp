@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "spice/cap_companion.h"
 
 namespace mcsm::spice {
 
@@ -14,6 +15,29 @@ namespace {
 // Scratch padding for the widest lane kernel (DVec<8>), so any active-set
 // size can be rounded up to a whole number of lanes.
 constexpr std::size_t kLanePad = 8;
+
+// Capacitance coefficients of a pad lane: finite everywhere, no junction
+// (so no per-lane pow call), nonzero divisors.
+constexpr MosCapCoeffs kPadCapCoeffs = [] {
+    MosCapCoeffs c{};
+    c[kCapPol] = 1.0;
+    c[kCapBlend] = 1.0;
+    c[kCapN] = 1.0;
+    c[kCapPb] = 1.0;
+    c[kCapFc] = 0.5;
+    c[kCapMj] = 0.5;
+    c[kCapMjsw] = 0.5;
+    return c;
+}();
+
+// The four junction planes; zeroed on compacted pad lanes.
+constexpr CapCoeff kJunctionPlanes[4] = {kCapCjD, kCapCjswD, kCapCjS,
+                                         kCapCjswS};
+
+std::size_t round_up(std::size_t n, int width) {
+    const auto w = static_cast<std::size_t>(width);
+    return (n + w - 1) / w * w;
+}
 
 // Unknown-space row/col of a node (ground is eliminated), mirroring
 // Stamper::unknown_of_node.
@@ -36,7 +60,6 @@ int resolve_slot(const SparseMatrix& pattern, int row_node, int col_node) {
 void MosfetBatch::build(const std::vector<const Mosfet*>& mosfets,
                         const SparseMatrix& pattern) {
     count_ = mosfets.size();
-    devices_ = mosfets;
 
     // The coefficient arrays carry kLanePad benign pad devices (is = 0, so
     // a pad lane's current and conductances are exactly zero) so the SIMD
@@ -65,6 +88,8 @@ void MosfetBatch::build(const std::vector<const Mosfet*>& mosfets,
     cap_step_id_ = -1;
     cap_dt_ = 0.0;
     cap_be_ = false;
+    cap_run_id_ = -1;
+    cap_v_.assign(count_ * 4, std::numeric_limits<double>::quiet_NaN());
     chan_run_id_ = -1;
     chan_v_.assign(count_ * 4, std::numeric_limits<double>::quiet_NaN());
     chan_lin_.assign(count_ * 5, 0.0);
@@ -91,6 +116,16 @@ void MosfetBatch::build(const std::vector<const Mosfet*>& mosfets,
     lane_gmb_.assign(padded, 0.0);
     lane_ids_.assign(padded, 0.0);
     lane_ia_.assign(padded, 0.0);
+    cap_stride_ = padded;
+    cap_coef_.resize(kCapCoeffs * padded);
+    for (std::size_t k = 0; k < kCapCoeffs; ++k)
+        std::fill_n(&cap_coef_[k * padded], padded, kPadCapCoeffs[k]);
+    lane_cap_coef_ = cap_coef_;
+    lane_cgs_.assign(padded, 0.0);
+    lane_cgd_.assign(padded, 0.0);
+    lane_cgb_.assign(padded, 0.0);
+    lane_cdb_.assign(padded, 0.0);
+    lane_csb_.assign(padded, 0.0);
 
     for (std::size_t i = 0; i < count_; ++i) {
         const Mosfet& m = *mosfets[i];
@@ -101,6 +136,9 @@ void MosfetBatch::build(const std::vector<const Mosfet*>& mosfets,
         vt0_[i] = c.vt0;
         lambda_[i] = c.lambda;
         ut_[i] = c.ut;
+        const MosCapCoeffs cc = m.cap_coeffs();
+        for (std::size_t k = 0; k < kCapCoeffs; ++k)
+            cap_coef_[k * padded + i] = cc[k];
         const int d = m.drain();
         const int g = m.gate();
         const int s = m.source();
@@ -219,15 +257,19 @@ void MosfetBatch::stamp_channel(SparseMatrix& matrix,
     scalar_evals.add(n_eval);
 }
 
-std::size_t MosfetBatch::gather_full_batch(const std::vector<double>& x,
-                                           EkvLanes& lanes,
-                                           int width) const {
+void MosfetBatch::gather_voltages(const std::vector<double>& x) const {
     for (std::size_t i = 0; i < count_; ++i) {
         lane_vd_[i] = x[static_cast<std::size_t>(nd_[i])];
         lane_vg_[i] = x[static_cast<std::size_t>(ng_[i])];
         lane_vs_[i] = x[static_cast<std::size_t>(ns_[i])];
         lane_vb_[i] = x[static_cast<std::size_t>(nb_[i])];
     }
+}
+
+std::size_t MosfetBatch::gather_full_batch(const std::vector<double>& x,
+                                           EkvLanes& lanes,
+                                           int width) const {
+    gather_voltages(x);
     lanes.vd = lane_vd_.data();
     lanes.vg = lane_vg_.data();
     lanes.vs = lane_vs_.data();
@@ -244,8 +286,7 @@ std::size_t MosfetBatch::gather_full_batch(const std::vector<double>& x,
     lanes.gmb = lane_gmb_.data();
     lanes.ids = lane_ids_.data();
     lanes.ia = lane_ia_.data();
-    const std::size_t w = static_cast<std::size_t>(width);
-    return count_ == 0 ? 0 : (count_ + w - 1) / w * w;
+    return round_up(count_, width);
 }
 
 void MosfetBatch::stamp_channel_lanes(SparseMatrix& matrix,
@@ -323,8 +364,7 @@ void MosfetBatch::stamp_channel_lanes(SparseMatrix& matrix,
         lanes.gmb = lane_gmb_.data();
         lanes.ids = lane_ids_.data();
         lanes.ia = lane_ia_.data();
-        const std::size_t w = static_cast<std::size_t>(width);
-        n_pad = na == 0 ? 0 : (na + w - 1) / w * w;
+        n_pad = round_up(na, width);
     } else {
         // DC / ungated: the full batch is active; the padded coefficient
         // arrays go to the kernel directly, no compaction pass.
@@ -397,29 +437,106 @@ void MosfetBatch::stamp_channel_lanes(SparseMatrix& matrix,
     }
 }
 
-void MosfetBatch::refresh_caps(const SimContext& ctx) const {
+std::size_t MosfetBatch::gather_caps_full_batch(const std::vector<double>& x,
+                                                CapLanes& lanes) const {
+    gather_voltages(x);
+    lanes.vd = lane_vd_.data();
+    lanes.vg = lane_vg_.data();
+    lanes.vs = lane_vs_.data();
+    lanes.vb = lane_vb_.data();
+    lanes.coef = cap_coef_.data();
+    lanes.stride = cap_stride_;
+    lanes.cgs = lane_cgs_.data();
+    lanes.cgd = lane_cgd_.data();
+    lanes.cgb = lane_cgb_.data();
+    lanes.cdb = lane_cdb_.data();
+    lanes.csb = lane_csb_.data();
+    return round_up(count_, ekv_lane_width());
+}
+
+void MosfetBatch::eval_caps(const SimContext& ctx) const {
+    static obs::Counter& cap_evals = obs::counter("solver.ws.cap_evals");
+    static obs::Counter& cap_reused = obs::counter("solver.ws.cap_reused");
+
     const std::vector<double>& x_prev = *ctx.x_prev;
-    const std::vector<double>& state = *ctx.state;
-    const std::size_t n_caps = count_ * 5;
-    if (ctx.step_id < 0 || ctx.step_id != cap_step_id_) {
-        // Raw-capacitance level: depends only on the accepted base solution,
-        // so retries of the same step (same step_id, new dt) skip it. The
-        // per-device cache is shared with commit(): one scalar caps
-        // evaluation per device per accepted base.
-        for (std::size_t i = 0; i < count_; ++i) {
-            const MosCaps& caps = devices_[i]->caps_at_step(ctx);
-            const std::size_t p = i * 5;
-            cap_c_[p + 0] = caps.cgs;
-            cap_c_[p + 1] = caps.cgd;
-            cap_c_[p + 2] = caps.cgb;
-            cap_c_[p + 3] = caps.cdb;
-            cap_c_[p + 4] = caps.csb;
-        }
-        cap_step_id_ = ctx.step_id;
+    const double tol = ctx.stale_dv;
+    const bool gated = tol > 0.0 && ctx.run_id >= 0;
+    if (gated && cap_run_id_ != ctx.run_id) {
+        // Same run-scope reset as the channel cache: NaN sentinels fail
+        // every |v - cached| <= tol test.
+        std::fill(cap_v_.begin(), cap_v_.end(),
+                  std::numeric_limits<double>::quiet_NaN());
+        cap_run_id_ = ctx.run_id;
     }
+
+    CapLanes lanes;
+    std::size_t n_pad = gather_caps_full_batch(x_prev, lanes);
+    std::size_t na = count_;
+    if (gated) {
+        // Compact the devices outside the gate to the lane prefix, in
+        // place over the gathered voltages (a < i never overtakes i), with
+        // their coefficients.
+        na = 0;
+        for (std::size_t i = 0; i < count_; ++i) {
+            const double* cv = &cap_v_[i * 4];
+            if (std::fabs(lane_vd_[i] - cv[0]) <= tol &&
+                std::fabs(lane_vg_[i] - cv[1]) <= tol &&
+                std::fabs(lane_vs_[i] - cv[2]) <= tol &&
+                std::fabs(lane_vb_[i] - cv[3]) <= tol)
+                continue;
+            act_idx_[na] = static_cast<int>(i);
+            lane_vd_[na] = lane_vd_[i];
+            lane_vg_[na] = lane_vg_[i];
+            lane_vs_[na] = lane_vs_[i];
+            lane_vb_[na] = lane_vb_[i];
+            for (std::size_t k = 0; k < kCapCoeffs; ++k)
+                lane_cap_coef_[k * cap_stride_ + na] =
+                    cap_coef_[k * cap_stride_ + i];
+            ++na;
+        }
+        n_pad = round_up(na, ekv_lane_width());
+        // Pad lanes keep finite leftovers of earlier devices; dropping
+        // their junctions keeps the per-lane pow calls off them.
+        for (std::size_t j = na; j < n_pad; ++j)
+            for (const CapCoeff k : kJunctionPlanes)
+                lane_cap_coef_[static_cast<std::size_t>(k) * cap_stride_ +
+                               j] = 0.0;
+        lanes.coef = lane_cap_coef_.data();
+    }
+
+    if (n_pad > 0) cap_lane_kernel()(lanes, n_pad);
+
+    for (std::size_t a = 0; a < na; ++a) {
+        const auto i = gated ? static_cast<std::size_t>(act_idx_[a]) : a;
+        double* c = &cap_c_[i * 5];
+        c[0] = lane_cgs_[a];
+        c[1] = lane_cgd_[a];
+        c[2] = lane_cgb_[a];
+        c[3] = lane_cdb_[a];
+        c[4] = lane_csb_[a];
+        if (gated) {
+            double* cv = &cap_v_[i * 4];
+            cv[0] = lane_vd_[a];
+            cv[1] = lane_vg_[a];
+            cv[2] = lane_vs_[a];
+            cv[3] = lane_vb_[a];
+        }
+    }
+    cap_evals.add(static_cast<long long>(na));
+    cap_reused.add(static_cast<long long>(count_ - na));
+    cap_step_id_ = ctx.step_id;
+}
+
+void MosfetBatch::refresh_caps(const SimContext& ctx) const {
+    // Raw-capacitance level: depends only on the accepted base solution,
+    // so retries of the same step (same step_id, new dt) skip it.
+    if (ctx.step_id < 0 || ctx.step_id != cap_step_id_) eval_caps(ctx);
     // Companion linearization (see spice/cap_companion.h): geq/isrc bake in
     // the step size and integrator, so this scaling pass re-runs whenever
     // either changes (adaptive retry at a shrunk dt, breakpoint BE step).
+    const std::vector<double>& x_prev = *ctx.x_prev;
+    const std::vector<double>& state = *ctx.state;
+    const std::size_t n_caps = count_ * 5;
     const bool be = ctx.integrator == Integrator::kBackwardEuler;
     const double gscale = (be ? 1.0 : 2.0) / ctx.dt;
     for (std::size_t p = 0; p < n_caps; ++p) {
@@ -434,6 +551,24 @@ void MosfetBatch::refresh_caps(const SimContext& ctx) const {
     }
     cap_dt_ = ctx.dt;
     cap_be_ = be;
+}
+
+void MosfetBatch::commit(const SimContext& ctx,
+                         std::span<double> state_next) const {
+    if (!ctx.is_tran()) return;
+    require(ctx.step_id >= 0 && ctx.step_id == cap_step_id_,
+            "MosfetBatch::commit: commit the step the last assembly ran");
+    const std::vector<double>& x = *ctx.x;
+    const std::vector<double>& x_prev = *ctx.x_prev;
+    const std::vector<double>& state = *ctx.state;
+    const std::size_t n_caps = count_ * 5;
+    for (std::size_t p = 0; p < n_caps; ++p) {
+        const auto a = static_cast<std::size_t>(cap_a_[p]);
+        const auto b = static_cast<std::size_t>(cap_b_[p]);
+        const auto s = static_cast<std::size_t>(cap_state_[p]);
+        state_next[s] = capacitor_current(ctx, cap_c_[p], x[a] - x[b],
+                                          x_prev[a] - x_prev[b], state[s]);
+    }
 }
 
 void MosfetBatch::evaluate_and_stamp(SparseMatrix& matrix,
@@ -650,6 +785,20 @@ void MosfetBatch::evaluate_lanes(const std::vector<double>& x,
         out[i].gds = lane_gds_[i];
         out[i].gms = lane_gms_[i];
         out[i].gmb = lane_gmb_[i];
+    }
+}
+
+void MosfetBatch::evaluate_caps(const std::vector<double>& x,
+                                MosCaps* out) const {
+    CapLanes lanes;
+    const std::size_t n_pad = gather_caps_full_batch(x, lanes);
+    if (n_pad > 0) cap_lane_kernel()(lanes, n_pad);
+    for (std::size_t i = 0; i < count_; ++i) {
+        out[i].cgs = lane_cgs_[i];
+        out[i].cgd = lane_cgd_[i];
+        out[i].cgb = lane_cgb_[i];
+        out[i].cdb = lane_cdb_[i];
+        out[i].csb = lane_csb_[i];
     }
 }
 

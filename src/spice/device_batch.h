@@ -14,13 +14,16 @@
 //   3. scatters the linearized stamps straight into CSR value slots and RHS
 //      rows, skipping the Stamper's per-write map probes.
 // Companion-capacitor stamps (5 pairs per device, linearized at the
-// previous accepted solution) are refreshed once per transient step into
-// parallel geq/isrc arrays — they are constant across the Newton iterations
-// of a step — and scattered the same way.
+// previous accepted solution) are refreshed once per transient step — they
+// are constant across the Newton iterations of a step: one sweep of the
+// capacitance lane kernel over the batch, then parallel geq/isrc arrays
+// scattered the same way. commit() closes an accepted step with one SoA
+// loop over the same cap pairs.
 #ifndef MCSM_SPICE_DEVICE_BATCH_H
 #define MCSM_SPICE_DEVICE_BATCH_H
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/sparse_matrix.h"
@@ -50,6 +53,12 @@ public:
     void evaluate_and_stamp(SparseMatrix& matrix, std::vector<double>& rhs,
                             const SimContext& ctx) const;
 
+    // Writes every device's companion-cap currents at the accepted solution
+    // ctx.x into `state_next` (same indexing as ctx.state), with the
+    // capacitances the last transient assembly used; ctx.step_id must be
+    // that assembly's step.
+    void commit(const SimContext& ctx, std::span<double> state_next) const;
+
     // Evaluation-only hook for tests and benches: out[i] receives device
     // i's channel current evaluated at the node voltages in `x` (node-id
     // indexed like SimContext::x). `fast` selects the kernel (false = the
@@ -61,6 +70,15 @@ public:
     // delta gating). With the tier compiled out this runs the W=1 lane
     // instantiation, which matches the fast scalar kernel bit for bit.
     void evaluate_lanes(const std::vector<double>& x, MosCurrent* out) const;
+
+    // Capacitances of every device at the node voltages in `x` through the
+    // dispatched capacitance lane kernel (full batch, no delta gating);
+    // tests check them against Mosfet::evaluate_caps bit for bit.
+    void evaluate_caps(const std::vector<double>& x, MosCaps* out) const;
+
+    // The raw capacitances the last transient assembly linearized at, 5 per
+    // device in MosCaps order (cgs, cgd, cgb, cdb, csb). For tests.
+    const std::vector<double>& step_caps() const { return cap_c_; }
 
 private:
     EkvCoeffs coeffs_at(std::size_t i) const {
@@ -87,16 +105,27 @@ private:
     // path. Selected by evaluate_and_stamp when the dispatch width is > 1.
     void stamp_channel_lanes(SparseMatrix& matrix, std::vector<double>& rhs,
                              const SimContext& ctx) const;
+    // Gathers every device's terminal voltages from `x` into the lane
+    // voltage planes.
+    void gather_voltages(const std::vector<double>& x) const;
     // Fills the gather/output scratch pointers into `lanes` for a
     // full-batch sweep over `x` and returns the padded lane count.
     std::size_t gather_full_batch(const std::vector<double>& x,
                                   EkvLanes& lanes, int width) const;
-    // Recomputes the per-step companion-cap conductances/current sources
-    // (keyed on SimContext::step_id like the per-device caches).
+    // Recomputes the per-step companion-cap conductances/current sources,
+    // re-evaluating the raw capacitances first when ctx.step_id moved on.
     void refresh_caps(const SimContext& ctx) const;
+    // Raw-capacitance level: gathers the previous accepted terminal
+    // voltages of the devices outside the stale_dv gate (all of them when
+    // ungated) into lane scratch, runs the dispatched capacitance kernel
+    // once over the padded block and scatters the results into cap_c_.
+    void eval_caps(const SimContext& ctx) const;
+    // Fills `lanes` with the full-batch capacitance sweep over the
+    // voltages in `x` and returns the padded lane count.
+    std::size_t gather_caps_full_batch(const std::vector<double>& x,
+                                       CapLanes& lanes) const;
 
     std::size_t count_ = 0;
-    std::vector<const Mosfet*> devices_;  // for the per-step cap cache
 
     // Channel coefficients (SoA mirror of EkvCoeffs).
     std::vector<double> pol_;
@@ -119,6 +148,11 @@ private:
     std::vector<int> rhs_d_;
     std::vector<int> rhs_s_;
 
+    // Capacitance coefficients: kCapCoeffs planes of cap_stride_ doubles
+    // (count_ devices, then kLanePad benign pad devices with no junction).
+    std::size_t cap_stride_ = 0;
+    std::vector<double> cap_coef_;
+
     // Companion caps: 5 pairs per device in Mosfet state order
     // (g,s) (g,d) (g,b) (d,b) (s,b). Per pair: the two node ids, 4 matrix
     // slots (a,a) (b,b) (a,b) (b,a), and 2 RHS rows.
@@ -138,6 +172,15 @@ private:
     mutable std::vector<double> cap_c_;
     mutable std::vector<double> cap_geq_;
     mutable std::vector<double> cap_isrc_;
+    // Delta-gated cap cache (SimContext::stale_dv > 0 only): the previous-
+    // solution terminal voltages (4 per device) each device's cap_c_ entries
+    // were evaluated at. While none moved more than stale_dv the device
+    // keeps its capacitances (a first-order model drift the LTE controller
+    // absorbs); assembly and commit still agree on one C per pair, so the
+    // companion charge bookkeeping stays consistent. cap_run_id_ scopes the
+    // cache to one solve_tran run like chan_run_id_.
+    mutable long long cap_run_id_ = -1;
+    mutable std::vector<double> cap_v_;
 
     // Delta-gated channel cache (SimContext::stale_dv > 0 only): the
     // eval-point terminal voltages (4 per device) and the tangent model
@@ -159,6 +202,9 @@ private:
     // build(), so masked remainder lanes never read uninitialized params.
     // Like the caches above, scratch makes stamping non-reentrant per
     // batch; each pool worker owns its workspace, so this is never shared.
+    // The per-step capacitance sweep reuses act_idx_ and the voltage planes
+    // (the channel sweep of the same assembly is done with them by then)
+    // and has its own coefficient planes and outputs.
     mutable std::vector<int> act_idx_;
     mutable std::vector<double> lane_vd_;
     mutable std::vector<double> lane_vg_;
@@ -176,6 +222,12 @@ private:
     mutable std::vector<double> lane_gmb_;
     mutable std::vector<double> lane_ids_;
     mutable std::vector<double> lane_ia_;
+    mutable std::vector<double> lane_cap_coef_;
+    mutable std::vector<double> lane_cgs_;
+    mutable std::vector<double> lane_cgd_;
+    mutable std::vector<double> lane_cgb_;
+    mutable std::vector<double> lane_cdb_;
+    mutable std::vector<double> lane_csb_;
 };
 
 // The linear counterpart of MosfetBatch: resistors, capacitors and

@@ -13,4 +13,8 @@ void ekv_eval_lanes_w4(const EkvLanes& a, std::size_t n) {
     ekv_eval_lanes_impl<4>(a, n);
 }
 
+void cap_eval_lanes_w4(const CapLanes& a, std::size_t n) {
+    cap_eval_lanes_impl<4>(a, n);
+}
+
 }  // namespace mcsm::spice

@@ -12,4 +12,8 @@ void ekv_eval_lanes_w8(const EkvLanes& a, std::size_t n) {
     ekv_eval_lanes_impl<8>(a, n);
 }
 
+void cap_eval_lanes_w8(const CapLanes& a, std::size_t n) {
+    cap_eval_lanes_impl<8>(a, n);
+}
+
 }  // namespace mcsm::spice

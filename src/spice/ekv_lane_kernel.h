@@ -1,13 +1,15 @@
-// The width-templated EKV lane kernel body, included by the per-target
+// The width-templated MOSFET lane kernels, included by the per-target
 // translation units (ekv_kernel_w1/w4/w8.cpp) — never compile this header
 // into more than one TU per width.
 //
 // ekv_eval_lanes_impl<W> mirrors ekv_current(..., softplus_logistic_fast)
-// operation for operation over simd::DVec<W>: same reduction tables
-// (common/numeric_tables.h), same association order on every +,-,*,/ and
-// sqrt, and the per-target TUs compile with -ffp-contract=off so no FMA
-// contraction perturbs the sequence. Each lane therefore produces the exact
-// bits of the scalar fast path — the property the determinism tests pin.
+// and cap_eval_lanes_impl<W> mirrors the capacitance model
+// (Mosfet::evaluate_caps is its W=1 instance) operation for operation over
+// simd::DVec<W>: same reduction tables (common/numeric_tables.h), same
+// association order on every +,-,*,/ and sqrt, and the per-target TUs
+// compile with -ffp-contract=off so no FMA contraction perturbs the
+// sequence. Each lane therefore produces the exact bits of the scalar
+// code — the property the determinism tests pin.
 //
 // Deviations from the scalar control flow, value-preserving by selection:
 //   - NaN inputs: the scalar kernel early-returns {x, x} before its int
@@ -16,10 +18,15 @@
 //   - log1p small-z branch: both the mantissa-reduced log and the
 //     alternating series are computed for every lane, then blended at the
 //     scalar's exact z < 2^-12 cut. Both paths are finite for z in [0, 1].
+//   - Junction caps: both pieces of the junction model (depletion and the
+//     linear extension beyond fc*pb) are computed for every lane and
+//     blended at the exact vj < fc*pb cut. The grading base (1 - vj/pb or
+//     1 - fc) is selected first, so each lane raises one base to its power.
 #ifndef MCSM_SPICE_EKV_LANE_KERNEL_H
 #define MCSM_SPICE_EKV_LANE_KERNEL_H
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -214,6 +221,33 @@ MCSM_SIMD_INLINE void sp_sig_lanes(DVec<W> x, DVec<W>& sp, DVec<W>& sig) {
     sig = simd::select_nan(x, x, sig_clean);
 }
 
+// One junction component (area or sidewall) of zero-bias capacitance c0
+// and grading coefficient m at diode forward bias vj:
+//     c0 / (1 - vj/pb)^m                                  vj <  fc*pb
+//     c0 / (1 - fc)^m * (1 + m (vj - fc*pb) / (pb (1 - fc)))  otherwise
+//     0                                                    c0 <= 0
+// The grading power is sqrt where m == 0.5 (exact: both are correctly
+// rounded) and a per-lane std::pow otherwise, so the bits are libm's.
+// pow(1, m) == 1 exactly, so a base of exactly 1 (a junction at zero bias,
+// e.g. a source tied to its bulk) keeps the sqrt and skips the call, as do
+// lanes with no junction (c0 <= 0, which include the pad lanes).
+template <int W>
+MCSM_SIMD_INLINE DVec<W> junction_lanes(DVec<W> vj, DVec<W> c0, DVec<W> m,
+                                        DVec<W> pb, DVec<W> fc) {
+    const DVec<W> zero = simd::broadcast<W>(0.0);
+    const DVec<W> one = simd::broadcast<W>(1.0);
+    const DVec<W> fcpb = fc * pb;
+    const DVec<W> x = simd::select_lt(vj, fcpb, one - vj / pb, one - fc);
+    DVec<W> g = simd::vsqrt(x);
+    for (int k = 0; k < W; ++k)
+        if (m.v[k] != 0.5 && x.v[k] != 1.0 && c0.v[k] > 0.0)
+            g.v[k] = std::pow(x.v[k], m.v[k]);
+    const DVec<W> q = c0 / g;
+    const DVec<W> ext = q * (one + m * (vj - fcpb) / (pb * (one - fc)));
+    return simd::select_ge(zero, c0, zero,
+                           simd::select_lt(vj, fcpb, q, ext));
+}
+
 }  // namespace lanes_detail
 
 // One W-wide chunk starting at `base`; `a`'s arrays must be readable and
@@ -287,6 +321,92 @@ MCSM_SIMD_INLINE void ekv_chunk(const EkvLanes& a, std::size_t base) {
 template <int W>
 void ekv_eval_lanes_impl(const EkvLanes& a, std::size_t n) {
     for (std::size_t base = 0; base < n; base += W) ekv_chunk<W>(a, base);
+}
+
+// One W-wide chunk of the capacitance model: Meyer-style region-blended
+// gate capacitances and bias-dependent junction capacitances at the
+// terminal voltages in `a`, for W devices starting at `base`.
+template <int W>
+MCSM_SIMD_INLINE void cap_chunk(const CapLanes& a, std::size_t base) {
+    using simd::DVec;
+    using lanes_detail::junction_lanes;
+    using lanes_detail::sp_sig_lanes;
+    const auto coef = [&](CapCoeff k) {
+        return simd::load<W>(a.coef + static_cast<std::size_t>(k) * a.stride +
+                             base);
+    };
+    const DVec<W> zero = simd::broadcast<W>(0.0);
+    const DVec<W> one = simd::broadcast<W>(1.0);
+
+    const DVec<W> vd = simd::load<W>(a.vd + base);
+    const DVec<W> vg = simd::load<W>(a.vg + base);
+    const DVec<W> vs = simd::load<W>(a.vs + base);
+    const DVec<W> vb = simd::load<W>(a.vb + base);
+    const DVec<W> pol = coef(kCapPol);
+    const DVec<W> bw = coef(kCapBlend);
+
+    // Polarity-normalized, bulk-referenced voltages.
+    const DVec<W> wg = pol * (vg - vb);
+    const DVec<W> wd = pol * (vd - vb);
+    const DVec<W> ws = pol * (vs - vb);
+    const DVec<W> wgs = wg - ws;
+    const DVec<W> wgd = wg - wd;
+
+    // Body-affected threshold seen from the conducting (source) side, with
+    // a smooth max of the two channel ends for symmetry. psrc, the
+    // probability that the s terminal acts as the source, routes the
+    // saturation 2/3 Cox to the source side smoothly.
+    DVec<W> sp_side, psrc;
+    sp_sig_lanes<W>((wgs - wgd) / bw, sp_side, psrc);
+    const DVec<W> smax = bw * sp_side + wgd;
+    const DVec<W> smin = wgs + wgd - smax;
+    const DVec<W> w_side_min = simd::vmin(ws, wd);
+    // std::max(0.0, w): (0 < w) ? w : 0.
+    const DVec<W> vt_eff =
+        coef(kCapVt0) + (coef(kCapN) - one) *
+                            simd::select_lt(zero, w_side_min, w_side_min,
+                                            zero);
+
+    // sigma: channel inverted somewhere; tau: inverted at both ends.
+    DVec<W> unused, sigma, tau;
+    sp_sig_lanes<W>((smax - vt_eff) / bw, unused, sigma);
+    sp_sig_lanes<W>((smin - vt_eff) / bw, unused, tau);
+
+    const DVec<W> c_ch = coef(kCapCch);
+    const DVec<W> half = simd::broadcast<W>(0.5);
+    const DVec<W> two_thirds = simd::broadcast<W>(2.0 / 3.0);
+    const DVec<W> cgs =
+        c_ch * (tau * half + (sigma - tau) * two_thirds * psrc) +
+        coef(kCapCgsOv);
+    const DVec<W> cgd =
+        c_ch * (tau * half + (sigma - tau) * two_thirds * (one - psrc)) +
+        coef(kCapCgdOv);
+    const DVec<W> cgb =
+        c_ch * (one - sigma) * coef(kCapCgbFrac) + coef(kCapCgbOv);
+
+    // Junction caps: forward bias of the bulk junction diode is
+    // pol*(vb - vx); area plus sidewall component.
+    const DVec<W> pb = coef(kCapPb);
+    const DVec<W> fc = coef(kCapFc);
+    const DVec<W> mj = coef(kCapMj);
+    const DVec<W> mjsw = coef(kCapMjsw);
+    const DVec<W> vjd = pol * (vb - vd);
+    const DVec<W> vjs = pol * (vb - vs);
+    const DVec<W> cdb = junction_lanes<W>(vjd, coef(kCapCjD), mj, pb, fc) +
+                        junction_lanes<W>(vjd, coef(kCapCjswD), mjsw, pb, fc);
+    const DVec<W> csb = junction_lanes<W>(vjs, coef(kCapCjS), mj, pb, fc) +
+                        junction_lanes<W>(vjs, coef(kCapCjswS), mjsw, pb, fc);
+
+    simd::store<W>(a.cgs + base, cgs);
+    simd::store<W>(a.cgd + base, cgd);
+    simd::store<W>(a.cgb + base, cgb);
+    simd::store<W>(a.cdb + base, cdb);
+    simd::store<W>(a.csb + base, csb);
+}
+
+template <int W>
+void cap_eval_lanes_impl(const CapLanes& a, std::size_t n) {
+    for (std::size_t base = 0; base < n; base += W) cap_chunk<W>(a, base);
 }
 
 }  // namespace mcsm::spice

@@ -10,19 +10,22 @@ namespace {
 
 struct Kernel {
     EkvLaneFn fn;
+    CapLaneFn cap_fn;
     int width;
     const char* name;
 };
 
 Kernel kernel_for_width(int w) {
 #ifdef MCSM_SIMD_AVX512
-    if (w >= 8) return {&ekv_eval_lanes_w8, 8, "avx512x8"};
+    if (w >= 8)
+        return {&ekv_eval_lanes_w8, &cap_eval_lanes_w8, 8, "avx512x8"};
 #endif
 #ifdef MCSM_SIMD_AVX2
-    if (w >= 4) return {&ekv_eval_lanes_w4, 4, "avx2x4"};
+    if (w >= 4)
+        return {&ekv_eval_lanes_w4, &cap_eval_lanes_w4, 4, "avx2x4"};
 #endif
     (void)w;
-    return {&ekv_eval_lanes_w1, 1, "scalar"};
+    return {&ekv_eval_lanes_w1, &cap_eval_lanes_w1, 1, "scalar"};
 }
 
 // 0 = default dispatch; otherwise a pinned width from ekv_lane_force_width
@@ -44,6 +47,8 @@ Kernel current_kernel() {
 }  // namespace
 
 EkvLaneFn ekv_lane_kernel() { return current_kernel().fn; }
+
+CapLaneFn cap_lane_kernel() { return current_kernel().cap_fn; }
 
 int ekv_lane_width() { return current_kernel().width; }
 

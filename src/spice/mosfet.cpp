@@ -1,7 +1,5 @@
 #include "spice/mosfet.h"
 
-#include <cmath>
-
 #include "common/error.h"
 #include "common/numeric.h"
 #include "spice/cap_companion.h"
@@ -32,72 +30,46 @@ MosCurrent Mosfet::evaluate_current(double vd, double vg, double vs,
                        mcsm::softplus_logistic_ref);
 }
 
-double Mosfet::junction_cap(double vj, double area, double perim) const {
+MosCapCoeffs Mosfet::cap_coeffs() const {
     const MosParams& p = *params_;
-    const double fcpb = p.fc * p.pb;
-    // pow(x, 0.5) == sqrt(x) exactly under a correctly-rounded libm, and
-    // sqrt is an order of magnitude cheaper -- the common mj = 0.5 case
-    // dominates the per-step capacitance refresh.
-    auto grade = [](double x, double m) {
-        return m == 0.5 ? std::sqrt(x) : std::pow(x, m);
-    };
-    auto one_component = [&](double c0, double m) {
-        if (c0 <= 0.0) return 0.0;
-        if (vj < fcpb) {
-            return c0 / grade(1.0 - vj / p.pb, m);
-        }
-        // Linearized extension beyond fc*pb (standard SPICE treatment).
-        const double f = grade(1.0 - p.fc, m);
-        return c0 / f * (1.0 + m * (vj - fcpb) / (p.pb * (1.0 - p.fc)));
-    };
-    return one_component(p.cj * area, p.mj) +
-           one_component(p.cjsw * perim, p.mjsw);
+    MosCapCoeffs c{};
+    c[kCapPol] = p.type == MosType::kNmos ? 1.0 : -1.0;
+    c[kCapBlend] = p.blend_v;
+    c[kCapVt0] = p.vt0;
+    c[kCapN] = p.n;
+    c[kCapCch] = p.cox * w_ * l_;
+    c[kCapCgsOv] = p.cgso * w_;
+    c[kCapCgdOv] = p.cgdo * w_;
+    c[kCapCgbFrac] = p.cgb_frac;
+    c[kCapCgbOv] = p.cgbo * l_;
+    c[kCapPb] = p.pb;
+    c[kCapFc] = p.fc;
+    c[kCapMj] = p.mj;
+    c[kCapMjsw] = p.mjsw;
+    c[kCapCjD] = p.cj * ad_;
+    c[kCapCjswD] = p.cjsw * pd_;
+    c[kCapCjS] = p.cj * as_;
+    c[kCapCjswS] = p.cjsw * ps_;
+    return c;
 }
 
 MosCaps Mosfet::evaluate_caps(double vd, double vg, double vs,
                               double vb) const {
-    const MosParams& p = *params_;
-    const double pol = polarity();
-
-    const double wg = pol * (vg - vb);
-    const double wd = pol * (vd - vb);
-    const double ws = pol * (vs - vb);
-
-    const double wgs = wg - ws;
-    const double wgd = wg - wd;
-
-    // Body-affected threshold seen from the conducting (source) side; use a
-    // smooth-max of the two channel ends for symmetry. The softplus/logistic
-    // pair at (wgs-wgd)/bw shares one fast-kernel evaluation (same
-    // approximation family as the batched EKV channel model; the portable
-    // build compiles it to the libm reference).
-    const double bw = p.blend_v;
-    const mcsm::SpSig side = mcsm::softplus_logistic_fast((wgs - wgd) / bw);
-    const double smax = bw * side.sp + wgd;
-    const double smin = wgs + wgd - smax;
-    const double w_side_min = std::min(ws, wd);
-    const double vt_eff = p.vt0 + (p.n - 1.0) * std::max(0.0, w_side_min);
-
-    // sigma: channel inverted somewhere; tau: inverted at both ends (triode).
-    const double sigma =
-        mcsm::softplus_logistic_fast((smax - vt_eff) / bw).sig;
-    const double tau = mcsm::softplus_logistic_fast((smin - vt_eff) / bw).sig;
-
-    // Probability that the s terminal acts as the source (lower potential
-    // for NMOS); routes the saturation 2/3 Cox to the source side smoothly.
-    const double psrc = side.sig;
-
-    const double c_ch = p.cox * w_ * l_;
+    const MosCapCoeffs coef = cap_coeffs();
     MosCaps c;
-    c.cgs = c_ch * (tau * 0.5 + (sigma - tau) * (2.0 / 3.0) * psrc) +
-            p.cgso * w_;
-    c.cgd = c_ch * (tau * 0.5 + (sigma - tau) * (2.0 / 3.0) * (1.0 - psrc)) +
-            p.cgdo * w_;
-    c.cgb = c_ch * (1.0 - sigma) * p.cgb_frac + p.cgbo * l_;
-
-    // Junction caps: forward bias of the bulk junction diode is pol*(vb - vx).
-    c.cdb = junction_cap(pol * (vb - vd), ad_, pd_);
-    c.csb = junction_cap(pol * (vb - vs), as_, ps_);
+    CapLanes lanes;
+    lanes.vd = &vd;
+    lanes.vg = &vg;
+    lanes.vs = &vs;
+    lanes.vb = &vb;
+    lanes.coef = coef.data();
+    lanes.stride = 1;
+    lanes.cgs = &c.cgs;
+    lanes.cgd = &c.cgd;
+    lanes.cgb = &c.cgb;
+    lanes.cdb = &c.cdb;
+    lanes.csb = &c.csb;
+    cap_eval_lanes_w1(lanes, 1);
     return c;
 }
 
@@ -139,58 +111,12 @@ void Mosfet::stamp(Stamper& st, const SimContext& ctx) const {
 
 const MosCaps& Mosfet::caps_at_step(const SimContext& ctx) const {
     if (ctx.step_id < 0 || ctx.step_id != caps_step_id_) {
-        const double vd = ctx.prev_voltage(d_);
-        const double vg = ctx.prev_voltage(g_);
-        const double vs = ctx.prev_voltage(s_);
-        const double vb = ctx.prev_voltage(b_);
-        // Delta-gated revalidation (fast transient path only): a settled
-        // device whose terminals barely moved keeps the linearization from
-        // the step that last evaluated it. Assembly and commit still agree
-        // on one C per pair, so the companion charge bookkeeping stays
-        // consistent; the LTE controller absorbs the (tiny) model drift.
-        const double tol = ctx.stale_dv;
-        if (!(tol > 0.0 && ctx.run_id >= 0 && caps_run_id_ == ctx.run_id &&
-              std::fabs(vd - caps_vd_) <= tol &&
-              std::fabs(vg - caps_vg_) <= tol &&
-              std::fabs(vs - caps_vs_) <= tol &&
-              std::fabs(vb - caps_vb_) <= tol)) {
-            caps_cache_ = evaluate_caps(vd, vg, vs, vb);
-            caps_vd_ = vd;
-            caps_vg_ = vg;
-            caps_vs_ = vs;
-            caps_vb_ = vb;
-            caps_run_id_ = ctx.run_id;
-        }
+        caps_cache_ = evaluate_caps(ctx.prev_voltage(d_), ctx.prev_voltage(g_),
+                                    ctx.prev_voltage(s_),
+                                    ctx.prev_voltage(b_));
         caps_step_id_ = ctx.step_id;
     }
     return caps_cache_;
-}
-
-void Mosfet::commit(const SimContext& ctx,
-                    std::span<double> state_next) const {
-    if (!ctx.is_tran()) return;
-    const MosCaps& caps = caps_at_step(ctx);
-    const auto base = static_cast<std::size_t>(state_base());
-    const std::vector<double>& state = *ctx.state;
-
-    struct Pair {
-        int a;
-        int b;
-        double c;
-    };
-    const Pair pairs[5] = {{g_, s_, caps.cgs},
-                           {g_, d_, caps.cgd},
-                           {g_, b_, caps.cgb},
-                           {d_, b_, caps.cdb},
-                           {s_, b_, caps.csb}};
-    for (std::size_t k = 0; k < 5; ++k) {
-        const double v_now =
-            ctx.node_voltage(pairs[k].a) - ctx.node_voltage(pairs[k].b);
-        const double v_prev =
-            ctx.prev_voltage(pairs[k].a) - ctx.prev_voltage(pairs[k].b);
-        state_next[base + k] = capacitor_current(ctx, pairs[k].c, v_now,
-                                                 v_prev, state[base + k]);
-    }
 }
 
 }  // namespace mcsm::spice

@@ -12,11 +12,12 @@
 #ifndef MCSM_SPICE_MOSFET_H
 #define MCSM_SPICE_MOSFET_H
 
-#include <span>
+#include <array>
 #include <string>
 
 #include "spice/device.h"
 #include "spice/ekv.h"
+#include "spice/ekv_lanes.h"
 #include "spice/mos_params.h"
 
 namespace mcsm::spice {
@@ -30,6 +31,10 @@ struct MosCaps {
     double csb = 0.0;
 };
 
+// One device's capacitance coefficients, indexed by CapCoeff (the planes
+// of a CapLanes block with stride 1).
+using MosCapCoeffs = std::array<double, kCapCoeffs>;
+
 class Mosfet : public Device {
 public:
     // Geometry in meters. Junction areas/perimeters default from W and
@@ -41,14 +46,17 @@ public:
     int state_count() const override { return 5; }  // cgs, cgd, cgb, cdb, csb
     std::vector<int> terminals() const override { return {d_, g_, s_, b_}; }
 
+    // The virtual stamp serves the pattern pass and the test/bench
+    // oracles; solves stamp through MosfetBatch, which also commits the
+    // five companion-cap currents of the state (no virtual commit here).
     void stamp(Stamper& st, const SimContext& ctx) const override;
-    void commit(const SimContext& ctx,
-                std::span<double> state_next) const override;
 
     // Model evaluation at explicit terminal voltages (exposed for tests and
-    // for the model-based capacitance shortcut in the characterizer). This
-    // is the scalar reference path: libm softplus/logistic through the
-    // shared ekv_current kernel.
+    // for the model-based capacitance shortcut in the characterizer).
+    // evaluate_current is the scalar reference path: libm softplus/logistic
+    // through the shared ekv_current kernel. evaluate_caps runs the W=1
+    // capacitance lane kernel (spice/ekv_lane_kernel.h), so it is bit for
+    // bit what MosfetBatch computes at every lane width.
     MosCurrent evaluate_current(double vd, double vg, double vs,
                                 double vb) const;
     MosCaps evaluate_caps(double vd, double vg, double vs, double vb) const;
@@ -60,13 +68,9 @@ public:
     EkvCoeffs ekv_coeffs() const {
         return EkvCoeffs::from(*params_, w_, l_);
     }
-
-    // Capacitances at the previous accepted solution, cached per transient
-    // step (keyed on SimContext::step_id): shared by every Newton iteration
-    // and the commit of a step, and by the batched companion-cap stamping.
-    // A device belongs to one circuit and circuits solve single-threaded,
-    // so the mutable cache is safe.
-    const MosCaps& caps_at_step(const SimContext& ctx) const;
+    // Capacitance coefficients for the lane kernel, derived on demand for
+    // the same reason.
+    MosCapCoeffs cap_coeffs() const;
 
     double width() const { return w_; }
     double length() const { return l_; }
@@ -78,12 +82,12 @@ public:
     int bulk() const { return b_; }
 
 private:
-    double polarity() const {
-        return params_->type == MosType::kNmos ? 1.0 : -1.0;
-    }
-    // Junction capacitance (area + sidewall) for the given junction reverse
-    // bias; vj is the forward-bias voltage of the junction diode.
-    double junction_cap(double vj, double area, double perim) const;
+    // Capacitances at the previous accepted solution for the virtual
+    // stamp, cached per transient step (keyed on SimContext::step_id) so
+    // every Newton iteration of a step shares one evaluation. A device
+    // belongs to one circuit and circuits solve single-threaded, so the
+    // mutable cache is safe.
+    const MosCaps& caps_at_step(const SimContext& ctx) const;
 
     int d_;
     int g_;
@@ -98,12 +102,6 @@ private:
     double ps_;
     mutable long long caps_step_id_ = -1;
     mutable MosCaps caps_cache_;
-    // Terminal voltages caps_cache_ was evaluated at plus the solve_tran
-    // run that evaluated them, for the delta-gated revalidation
-    // (SimContext::stale_dv / run_id).
-    mutable double caps_vd_ = 0.0, caps_vg_ = 0.0, caps_vs_ = 0.0,
-                   caps_vb_ = 0.0;
-    mutable long long caps_run_id_ = -1;
 };
 
 }  // namespace mcsm::spice

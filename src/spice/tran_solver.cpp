@@ -153,6 +153,10 @@ void commit_step(Circuit& circuit, Integrator integrator, double time,
     const SimContext ctx =
         make_tran_context(integrator, time, dt, x_prev, state, x, step_id);
     state_next = state;
+    // MOSFET companion caps commit in one SoA pass over the batch (Mosfet
+    // has no virtual commit); every other device commits itself.
+    const MosfetBatch& mosfets = circuit.workspace().mosfet_batch();
+    if (!mosfets.empty()) mosfets.commit(ctx, std::span<double>(state_next));
     for (const auto& dev : circuit.devices())
         dev->commit(ctx, std::span<double>(state_next));
 }

@@ -10,9 +10,14 @@
 //    solve_dc on a fully forced characterization fixture and on a generic
 //    circuit with free nodes,
 //  * shortcut characterization is bitwise deterministic across thread
-//    counts.
+//    counts,
+//  * the SIMD lane tier (EKV channel and capacitance kernels) is bit-equal
+//    to the scalar code at every width, full-batch and delta-gated,
+//  * a golden transient and characterized models keep pinned bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -25,12 +30,16 @@
 #include "common/numeric_tables.h"
 #include "common/simd.h"
 #include "core/characterizer.h"
+#include "engine/scenarios.h"
+#include "obs/metrics.h"
+#include "serve/model_store.h"
 #include "spice/circuit.h"
 #include "spice/dc_solver.h"
 #include "spice/device_batch.h"
 #include "spice/ekv_lanes.h"
 #include "spice/solver_workspace.h"
 #include "tech/tech130.h"
+#include "wave/waveform.h"
 
 namespace mcsm {
 namespace {
@@ -741,6 +750,421 @@ TEST(SimdLanes, RepeatedAssembliesBitwiseIdentical) {
         expect_snapshots_bitwise(again, first, spice::ekv_lane_width(),
                                  "repeat");
     }
+}
+
+
+// ---- capacitance lane kernel ---------------------------------------------
+
+// The capacitance model as straight-line scalar code, written out
+// independently of the lane kernel: the pre-kernel Mosfet::evaluate_caps,
+// operation for operation. Default junction geometry (AD/AS = W*ldiff,
+// PD/PS = 2(W+ldiff)), as every device in these fixtures has.
+spice::MosCaps reference_caps(const Mosfet& m, double vd, double vg,
+                              double vs, double vb) {
+    const spice::MosParams& p = m.params();
+    const double w = m.width();
+    const double l = m.length();
+    const double area = w * p.ldiff;
+    const double perim = 2.0 * (w + p.ldiff);
+    const double pol = p.type == spice::MosType::kNmos ? 1.0 : -1.0;
+    const auto junction = [&](double vj) {
+        const double fcpb = p.fc * p.pb;
+        const auto grade = [](double x, double g) {
+            return g == 0.5 ? std::sqrt(x) : std::pow(x, g);
+        };
+        const auto one = [&](double c0, double g) {
+            if (c0 <= 0.0) return 0.0;
+            if (vj < fcpb) return c0 / grade(1.0 - vj / p.pb, g);
+            const double f = grade(1.0 - p.fc, g);
+            return c0 / f * (1.0 + g * (vj - fcpb) / (p.pb * (1.0 - p.fc)));
+        };
+        return one(p.cj * area, p.mj) + one(p.cjsw * perim, p.mjsw);
+    };
+    const double wg = pol * (vg - vb);
+    const double wd = pol * (vd - vb);
+    const double ws = pol * (vs - vb);
+    const double wgs = wg - ws;
+    const double wgd = wg - wd;
+    const double bw = p.blend_v;
+    const SpSig side = softplus_logistic_fast((wgs - wgd) / bw);
+    const double smax = bw * side.sp + wgd;
+    const double smin = wgs + wgd - smax;
+    const double vt_eff =
+        p.vt0 + (p.n - 1.0) * std::max(0.0, std::min(ws, wd));
+    const double sigma = softplus_logistic_fast((smax - vt_eff) / bw).sig;
+    const double tau = softplus_logistic_fast((smin - vt_eff) / bw).sig;
+    const double c_ch = p.cox * w * l;
+    spice::MosCaps c;
+    c.cgs = c_ch * (tau * 0.5 + (sigma - tau) * (2.0 / 3.0) * side.sig) +
+            p.cgso * w;
+    c.cgd = c_ch * (tau * 0.5 +
+                    (sigma - tau) * (2.0 / 3.0) * (1.0 - side.sig)) +
+            p.cgdo * w;
+    c.cgb = c_ch * (1.0 - sigma) * p.cgb_frac + p.cgbo * l;
+    c.cdb = junction(pol * (vb - vd));
+    c.csb = junction(pol * (vb - vs));
+    return c;
+}
+
+void expect_caps_bitwise(const spice::MosCaps& got,
+                         const spice::MosCaps& want, const std::string& what) {
+    EXPECT_EQ(bits_of(got.cgs), bits_of(want.cgs)) << "cgs " << what;
+    EXPECT_EQ(bits_of(got.cgd), bits_of(want.cgd)) << "cgd " << what;
+    EXPECT_EQ(bits_of(got.cgb), bits_of(want.cgb)) << "cgb " << what;
+    EXPECT_EQ(bits_of(got.cdb), bits_of(want.cdb))
+        << "cdb " << what << " got " << got.cdb << " want " << want.cdb;
+    EXPECT_EQ(bits_of(got.csb), bits_of(want.csb))
+        << "csb " << what << " got " << got.csb << " want " << want.csb;
+}
+
+// The bias cases of a MOS capacitance deck (NMOS/PMOS on, off and open at
+// one terminal, sources tied to their bulk, junctions forward-biased at and
+// beyond fc*pb) plus cards with swapped grading (mj = 0.4 takes pow,
+// mjsw = 0.5 takes sqrt) and with no area or no sidewall junction. Every
+// device has its own d/g/s nodes unless a terminal is tied, so `bias()`
+// sets each case exactly. The first `n_mos` cases make the batch, so decks
+// of any size exercise the masked remainder lanes.
+struct CapDeck {
+    static constexpr int kCases = 14;
+    Circuit circuit;
+    tech::Technology tech = tech::make_tech130();
+    spice::MosParams nmos_graded, nmos_no_area, pmos_no_sidewall;
+    std::vector<const Mosfet*> mosfets;
+    std::vector<std::array<double, 4>> vdgsb;  // per device: vd vg vs vb
+    int vdd = 0;
+
+    explicit CapDeck(int n_mos) {
+        nmos_graded = tech.nmos;
+        nmos_graded.mj = 0.4;
+        nmos_graded.mjsw = 0.5;
+        nmos_no_area = tech.nmos;
+        nmos_no_area.cj = 0.0;
+        pmos_no_sidewall = tech.pmos;
+        pmos_no_sidewall.cjsw = 0.0;
+
+        const double v = tech.vdd;
+        vdd = circuit.node("vdd");
+        struct Case {
+            bool nmos;
+            const spice::MosParams* card;
+            double vd, vg, vs;  // NaN vs: source tied to bulk
+        };
+        const double tied = std::numeric_limits<double>::quiet_NaN();
+        const Case cases[kCases] = {
+            {true, &tech.nmos, v, v, tied},             // on
+            {true, &tech.nmos, v, 0.0, tied},           // off
+            {true, &tech.nmos, 0.8, v, 0.37},           // source open
+            {false, &tech.pmos, 0.0, 0.0, tied},        // on
+            {false, &tech.pmos, 0.0, v, tied},          // off
+            {false, &tech.pmos, 0.6, 0.0, 0.9},         // source open
+            {true, &tech.nmos, -0.55, 0.6, 0.1},        // drain beyond fc*pb
+            {true, &tech.nmos, 0.3, 0.2, -0.4},         // source at fc*pb
+            {false, &tech.pmos, v + 0.6, v, 0.5},       // drain beyond fc*pb
+            {true, &nmos_graded, 0.9, v, 0.2},          // mj 0.4, mjsw 0.5
+            {true, &nmos_graded, 0.7, 0.0, tied},       // graded, tied
+            {true, &nmos_no_area, 0.9, 0.5, 0.3},       // cj = 0
+            {false, &pmos_no_sidewall, 0.2, 0.4, 1.0},  // cjsw = 0
+            {true, &nmos_graded, -0.7, 0.3, 0.05},      // graded, forward
+        };
+        for (int k = 0; k < n_mos; ++k) {
+            const Case& c = cases[k];
+            const std::string id = std::to_string(k);
+            const int bulk = c.nmos ? Circuit::kGround : vdd;
+            const int d = circuit.node("d" + id);
+            const int g = circuit.node("g" + id);
+            const int s = std::isnan(c.vs) ? bulk : circuit.node("s" + id);
+            const double w =
+                (c.nmos ? tech.wn_unit : tech.wp_unit) * (1.0 + 0.25 * k);
+            circuit.add_mosfet("M" + id, d, g, s, bulk, *c.card, w,
+                               tech.lmin);
+            const double vb = c.nmos ? 0.0 : v;
+            vdgsb.push_back({c.vd, c.vg, std::isnan(c.vs) ? vb : c.vs, vb});
+        }
+        circuit.prepare();
+        for (const auto& dev : circuit.devices())
+            mosfets.push_back(dynamic_cast<const Mosfet*>(dev.get()));
+    }
+
+    // Node voltages realizing the deck's bias cases.
+    std::vector<double> bias() const {
+        std::vector<double> x(static_cast<std::size_t>(
+                                  circuit.node_count() +
+                                  circuit.branch_total()),
+                              0.0);
+        x[static_cast<std::size_t>(vdd)] = tech.vdd;
+        for (std::size_t i = 0; i < mosfets.size(); ++i) {
+            const Mosfet& m = *mosfets[i];
+            x[static_cast<std::size_t>(m.drain())] = vdgsb[i][0];
+            x[static_cast<std::size_t>(m.gate())] = vdgsb[i][1];
+            x[static_cast<std::size_t>(m.source())] = vdgsb[i][2];
+        }
+        return x;
+    }
+
+    spice::MosCaps scalar_caps(std::size_t i,
+                               const std::vector<double>& x) const {
+        const Mosfet& m = *mosfets[i];
+        return m.evaluate_caps(x[static_cast<std::size_t>(m.drain())],
+                               x[static_cast<std::size_t>(m.gate())],
+                               x[static_cast<std::size_t>(m.source())],
+                               x[static_cast<std::size_t>(m.bulk())]);
+    }
+};
+
+// Mosfet::evaluate_caps (the W=1 kernel) reproduces the straight-line
+// scalar model bit for bit, and the batch's dispatched kernel reproduces
+// evaluate_caps at every runnable width, on the deck's bias cases and on
+// random biases, for decks of every size (masked remainder lanes).
+TEST(CapLanes, KernelBitIdenticalToEvaluateCapsAcrossWidths) {
+    std::mt19937 rng(20261019);
+    std::uniform_real_distribution<double> wide(-0.8, 2.0);
+    for (int n_mos : {1, 3, 5, 7, 9, 13, CapDeck::kCases}) {
+        CapDeck deck(n_mos);
+        const spice::MosfetBatch& batch =
+            deck.circuit.workspace().mosfet_batch();
+        ASSERT_EQ(batch.size(), static_cast<std::size_t>(n_mos));
+        std::vector<spice::MosCaps> lanes(batch.size());
+
+        auto check_x = [&](const std::vector<double>& x, const char* what) {
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                const Mosfet& m = *deck.mosfets[i];
+                expect_caps_bitwise(
+                    deck.scalar_caps(i, x),
+                    reference_caps(m, x[static_cast<std::size_t>(m.drain())],
+                                   x[static_cast<std::size_t>(m.gate())],
+                                   x[static_cast<std::size_t>(m.source())],
+                                   x[static_cast<std::size_t>(m.bulk())]),
+                    std::string("evaluate_caps vs reference, ") + what +
+                        " device " + std::to_string(i));
+            }
+            for (int w : runnable_widths()) {
+                ForcedWidth guard(w);
+                batch.evaluate_caps(x, lanes.data());
+                for (std::size_t i = 0; i < batch.size(); ++i)
+                    expect_caps_bitwise(
+                        lanes[i], deck.scalar_caps(i, x),
+                        std::string(what) + " width " + std::to_string(w) +
+                            " device " + std::to_string(i) + " of " +
+                            std::to_string(n_mos));
+            }
+        };
+
+        check_x(deck.bias(), "deck bias");
+        for (int trial = 0; trial < 40; ++trial) {
+            std::vector<double> x = deck.bias();
+            for (int n = 1; n < deck.circuit.node_count(); ++n)
+                x[static_cast<std::size_t>(n)] = wide(rng);
+            check_x(x, "random bias");
+        }
+    }
+
+    // The deck really reaches the branches it claims to.
+    const CapDeck deck(CapDeck::kCases);
+    const std::vector<double> x = deck.bias();
+    const spice::MosParams& n = deck.tech.nmos;
+    const spice::MosParams& p = deck.tech.pmos;
+    const auto area = [&](int k, const spice::MosParams& card) {
+        return deck.mosfets[static_cast<std::size_t>(k)]->width() *
+               card.ldiff;
+    };
+    const auto perim = [&](int k, const spice::MosParams& card) {
+        return 2.0 * (deck.mosfets[static_cast<std::size_t>(k)]->width() +
+                      card.ldiff);
+    };
+    // Source tied to bulk: the zero-bias cap, no grading at all.
+    EXPECT_EQ(deck.scalar_caps(0, x).csb,
+              n.cj * area(0, n) + n.cjsw * perim(0, n));
+    // Forward bias beyond fc*pb raises the junction cap.
+    EXPECT_GT(deck.scalar_caps(6, x).cdb, deck.scalar_caps(0, x).cdb);
+    // cj = 0 leaves the sidewall alone (pow for mjsw = 0.33); cjsw = 0
+    // leaves the area alone (sqrt for mj = 0.5). Both reverse-biased.
+    const double vj11 = 0.0 - 0.9;
+    const double vj12 = -1.0 * (deck.tech.vdd - 1.0);
+    EXPECT_EQ(deck.scalar_caps(11, x).cdb,
+              n.cjsw * perim(11, n) / std::pow(1.0 - vj11 / n.pb, n.mjsw));
+    EXPECT_EQ(deck.scalar_caps(12, x).csb,
+              p.cj * area(12, p) / std::sqrt(1.0 - vj12 / p.pb));
+}
+
+// Delta-gated per-step cap refresh: after a first step evaluates every
+// device, later steps re-evaluate only the devices a terminal of which
+// moved more than stale_dv since their last evaluation, and a new run
+// re-evaluates everything. The batch must match that model (built from
+// Mosfet::evaluate_caps) at every width and step, count the split in
+// solver.ws.cap_evals / cap_reused, and assemble the same bits at every
+// width.
+TEST(CapLanes, GatedActiveSetSequenceMatchesScalarModel) {
+    constexpr double kTol = 0.05;
+    std::vector<std::vector<AssemblySnapshot>> by_width;
+    for (int w : runnable_widths()) {
+        ForcedWidth guard(w);
+        CapDeck deck(11);
+        const spice::MosfetBatch& batch =
+            deck.circuit.workspace().mosfet_batch();
+        const std::size_t n_mos = batch.size();
+        std::vector<double> x_prev = deck.bias();
+        std::vector<double> x = x_prev;
+        const std::vector<double> state(
+            static_cast<std::size_t>(deck.circuit.state_total()), 0.0);
+
+        spice::SimContext ctx;
+        ctx.mode = spice::SimContext::Mode::kTran;
+        ctx.dt = 1e-12;
+        ctx.stale_dv = kTol;
+        ctx.x = &x;
+        ctx.x_prev = &x_prev;
+        ctx.state = &state;
+
+        // The gate model: per device, the voltages it was last evaluated
+        // at and the caps from then.
+        std::vector<std::array<double, 4>> at(
+            n_mos, {std::numeric_limits<double>::quiet_NaN(), 0.0, 0.0, 0.0});
+        std::vector<spice::MosCaps> model(n_mos);
+        std::vector<AssemblySnapshot> snaps;
+        long long step_id = 1000;
+
+        auto step = [&](long long run_id, const char* what) {
+            ctx.run_id = run_id;
+            ctx.step_id = ++step_id;
+            std::size_t evals = 0;
+            for (std::size_t i = 0; i < n_mos; ++i) {
+                const Mosfet& m = *deck.mosfets[i];
+                const std::array<double, 4> v = {
+                    x_prev[static_cast<std::size_t>(m.drain())],
+                    x_prev[static_cast<std::size_t>(m.gate())],
+                    x_prev[static_cast<std::size_t>(m.source())],
+                    x_prev[static_cast<std::size_t>(m.bulk())]};
+                bool keep = true;
+                for (int t = 0; t < 4; ++t)
+                    keep = keep && std::fabs(v[t] - at[i][t]) <= kTol;
+                if (keep) continue;
+                ++evals;
+                at[i] = v;
+                model[i] = deck.scalar_caps(i, x_prev);
+            }
+            const long long evals0 =
+                obs::counter("solver.ws.cap_evals").value();
+            const long long reused0 =
+                obs::counter("solver.ws.cap_reused").value();
+            snaps.push_back(assemble_snapshot(deck.circuit, ctx));
+            if (obs::compiled_in()) {
+                EXPECT_EQ(obs::counter("solver.ws.cap_evals").value() - evals0,
+                          static_cast<long long>(evals))
+                    << what << " width " << w;
+                EXPECT_EQ(
+                    obs::counter("solver.ws.cap_reused").value() - reused0,
+                    static_cast<long long>(n_mos - evals))
+                    << what << " width " << w;
+            }
+            const std::vector<double>& c = batch.step_caps();
+            for (std::size_t i = 0; i < n_mos; ++i)
+                expect_caps_bitwise({c[i * 5 + 0], c[i * 5 + 1], c[i * 5 + 2],
+                                     c[i * 5 + 3], c[i * 5 + 4]},
+                                    model[i],
+                                    std::string(what) + " width " +
+                                        std::to_string(w) + " device " +
+                                        std::to_string(i));
+            return evals;
+        };
+
+        EXPECT_EQ(step(1, "cold"), n_mos);
+        EXPECT_EQ(step(1, "unchanged"), 0u);
+        // Bump one more node each step: growing partial active sets.
+        for (const char* node : {"d2", "g5", "s7"}) {
+            x_prev[static_cast<std::size_t>(deck.circuit.node_id(node))] +=
+                0.2;
+            EXPECT_GT(step(1, node), 0u);
+        }
+        // A shared node (the PMOS bulk rail) moves every PMOS at once.
+        x_prev[static_cast<std::size_t>(deck.vdd)] -= 0.1;
+        EXPECT_GT(step(1, "vdd"), 1u);
+        // A nudge inside the gate keeps everything.
+        x_prev[static_cast<std::size_t>(deck.circuit.node_id("d2"))] +=
+            0.001;
+        EXPECT_EQ(step(1, "nudge"), 0u);
+        // A new run drops the cache: everything re-evaluates.
+        for (auto& a : at) a[0] = std::numeric_limits<double>::quiet_NaN();
+        EXPECT_EQ(step(2, "new run"), n_mos);
+        by_width.push_back(std::move(snaps));
+    }
+    const std::vector<int> widths = runnable_widths();
+    for (std::size_t k = 1; k < by_width.size(); ++k) {
+        ASSERT_EQ(by_width[k].size(), by_width[0].size());
+        for (std::size_t s = 0; s < by_width[k].size(); ++s)
+            expect_snapshots_bitwise(by_width[k][s], by_width[0][s],
+                                     widths[k], "gated cap step");
+    }
+}
+
+
+// ---- pinned end-to-end results -------------------------------------------
+
+// Results recorded before the capacitance model moved into the lane kernel
+// (when it was scalar code called once per device per step): moving it
+// must not change one bit of a transistor-level transient or of a
+// characterized model, at any lane width. The characterization runs the
+// delta-gated fast transient path, so the model pins cover the gated cap
+// refresh too. The values depend on libm (pow, exp, log), so they are
+// asserted only on the x86-64 glibc platform they were recorded on.
+#if defined(__x86_64__) && defined(__GLIBC__)
+constexpr bool kPinnedPlatform = true;
+#else
+constexpr bool kPinnedPlatform = false;
+#endif
+
+std::uint64_t fnv1a_bits(std::uint64_t h, double v) {
+    const std::uint64_t b = bits_of(v);
+    for (int i = 0; i < 8; ++i) {
+        h ^= (b >> (8 * i)) & 0xffu;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(Pinned, GoldenNor2Fo2TransientAtEveryWidth) {
+    if (!kPinnedPlatform) GTEST_SKIP() << "pins recorded on x86-64 glibc";
+    const tech::Technology t = tech::make_tech130();
+    const cells::CellLibrary lib(t);
+    const engine::HistoryStimulus stim =
+        engine::nor2_history(engine::HistoryCase::kFast10, t.vdd);
+    spice::TranOptions topt;
+    topt.tstop = 3.2e-9;
+    topt.dt = 1e-12;
+    // 0: default dispatch; widths the CPU lacks clamp down and must give
+    // the same bits anyway.
+    for (int w : {0, 1, 4, 8}) {
+        ForcedWidth guard(w);
+        engine::GoldenCell cell(lib, "NOR2", {{"A", stim.a}, {"B", stim.b}},
+                                engine::LoadSpec{0.0, 2, "INV_X1"});
+        const spice::TranResult r = cell.run(topt);
+        std::uint64_t h = 1469598103934665603ull;
+        for (double time : r.times()) h = fnv1a_bits(h, time);
+        for (int n = 0; n < cell.circuit().node_count(); ++n) {
+            const wave::Waveform wf = r.node_waveform(n);
+            for (double v : wf.values()) h = fnv1a_bits(h, v);
+        }
+        EXPECT_EQ(h, 0xec74844d75095c12ull) << "forced width " << w;
+        EXPECT_EQ(r.stats().newton_iters, 4745) << "forced width " << w;
+        EXPECT_EQ(r.stats().steps_accepted, 3200) << "forced width " << w;
+    }
+}
+
+TEST(Pinned, CharacterizedModelChecksums) {
+    if (!kPinnedPlatform) GTEST_SKIP() << "pins recorded on x86-64 glibc";
+    const tech::Technology t = tech::make_tech130();
+    const cells::CellLibrary lib(t);
+    const core::Characterizer chr(lib);
+    core::CharOptions opt;
+    opt.threads = 1;
+    EXPECT_EQ(serve::model_checksum(chr.characterize(
+                  "INV_X1", core::ModelKind::kSis, {"A"}, opt)),
+              0x17e0ff21295713fcull);
+    EXPECT_EQ(serve::model_checksum(chr.characterize(
+                  "NOR2", core::ModelKind::kMcsm, {"A", "B"}, opt)),
+              0x12069d3ea3787adfull);
+    EXPECT_EQ(serve::model_checksum(chr.characterize(
+                  "NAND2", core::ModelKind::kMcsm, {"A", "B"}, opt)),
+              0xc7ef8536af44afb0ull);
 }
 
 }  // namespace

@@ -21,10 +21,12 @@ class MosfetModel : public ::testing::Test {
 protected:
     MosfetModel() : tech_(make_tech130()) {}
 
+    // Declared before the devices: their constructors read the card
+    // (default junction geometry from ldiff).
+    Technology tech_;
     // Standalone device for direct model evaluation (not added to a circuit).
     Mosfet nmos_{"MN", 1, 2, 3, 0, tech_.nmos, 0.52e-6, 0.13e-6};
     Mosfet pmos_{"MP", 1, 2, 3, 0, tech_.pmos, 1.04e-6, 0.13e-6};
-    Technology tech_;
 };
 
 TEST_F(MosfetModel, CurrentIsZeroAtZeroVds) {
